@@ -1,20 +1,19 @@
-// High-throughput query serving: queries/sec over a fixed source batch,
-// comparing three serving strategies on the same preprocessed engine:
+// High-throughput query serving: queries/sec over a fixed source batch of
+// full-distance requests (want_full_distances), comparing three serving
+// strategies on the same preprocessed engine:
 //
-//   seq    — per-source engine.query() loop with fresh per-query state:
-//            exactly the pre-batching query_batch() behaviour (baseline);
+//   seq    — per-source engine.serve() loop with fresh per-query state
+//            (baseline);
 //   ctx    — the same sequential loop over one warm QueryContext
 //            (zero-allocation hot path, intra-query parallelism);
-//   batch  — engine.query_batch(): the two-level scheduler (source-parallel
+//   batch  — engine.serve_batch(): the two-level scheduler (source-parallel
 //            across the per-worker context pool when the batch is at least
 //            as wide as the worker count).
 //
 // The three strategies run for the flat engine (metric names seq_qps /
-// ctx_qps / batch_qps) and for Algorithm 2 on both ordered-set substrates
-// (bst_* for the arena treap, bstflat_* for the flat sorted array), so the
-// BENCH json captures the substrate crossover and the arena's warm-context
-// effect per commit. Every strategy's distances are checked against the
-// flat baseline.
+// ctx_qps / batch_qps) and for Algorithm 2 on the arena treap (bst_*), so
+// the BENCH json captures the arena's warm-context effect per commit.
+// Every strategy's distances are checked against the flat baseline.
 //
 // Targeted point-to-point serving (PR 5) is tracked alongside: p2p1_qps /
 // p2p8_qps / p2p64_qps time a warm-context serve() loop over the same
@@ -61,6 +60,18 @@ double best_seconds(int reps, const std::function<void()>& run) {
     if (best < 0.0 || s < best) best = s;
   }
   return best;
+}
+
+/// One full-distance request per source, all on `engine`.
+std::vector<QueryRequest> full_requests(const std::vector<Vertex>& sources,
+                                        QueryEngine engine) {
+  std::vector<QueryRequest> requests(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    requests[i].source = sources[i];
+    requests[i].want_full_distances = true;
+    requests[i].engine = engine;
+  }
+  return requests;
 }
 
 /// One targeted request per source: `targets_per` random targets drawn
@@ -114,7 +125,6 @@ int main() {
   const EngineRow rows[] = {
       {QueryEngine::kFlat, "flat", ""},
       {QueryEngine::kBst, "bst", "bst_"},
-      {QueryEngine::kBstFlat, "bstflat", "bstflat_"},
   };
 
   for (const auto& [name, g0] : graphs) {
@@ -127,40 +137,44 @@ int main() {
         sample_sources(g, batch, /*seed=*/777);
 
     // Reference distances: fresh flat queries, computed once per graph.
-    std::vector<QueryResult> flat_ref;
+    std::vector<QueryResponse> flat_ref;
     flat_ref.reserve(sources.size());
-    for (const Vertex src : sources) flat_ref.push_back(engine.query(src));
+    for (const QueryRequest& req : full_requests(sources, QueryEngine::kFlat)) {
+      flat_ref.push_back(engine.serve(req));
+    }
 
     for (const auto& row : rows) {
-      // The ordered-set engines are slower; trim their repetitions.
+      // The ordered-set engine is slower; trim its repetitions.
       const int row_reps =
           row.engine == QueryEngine::kFlat ? reps : std::max(2, reps - 2);
+      const std::vector<QueryRequest> requests =
+          full_requests(sources, row.engine);
 
-      // Baseline: the pre-batching query_batch — one fresh query/source.
-      std::vector<QueryResult> seq_results;
+      // Baseline: one fresh-state serve per source.
+      std::vector<QueryResponse> seq_results;
       const auto run_seq = [&] {
         seq_results.clear();
-        seq_results.reserve(sources.size());
-        for (const Vertex src : sources) {
-          seq_results.push_back(engine.query(src, row.engine));
+        seq_results.reserve(requests.size());
+        for (const QueryRequest& req : requests) {
+          seq_results.push_back(engine.serve(req));
         }
       };
 
       // One warm reused context, sequential batch loop.
       QueryContext ctx(g.num_vertices());
-      std::vector<QueryResult> ctx_results;
+      std::vector<QueryResponse> ctx_results;
       const auto run_ctx = [&] {
         ctx_results.clear();
-        ctx_results.reserve(sources.size());
-        for (const Vertex src : sources) {
-          ctx_results.push_back(engine.query(src, row.engine, ctx));
+        ctx_results.reserve(requests.size());
+        for (const QueryRequest& req : requests) {
+          ctx_results.push_back(engine.serve(req, ctx));
         }
       };
 
       // The two-level batch scheduler.
-      std::vector<QueryResult> batch_results;
+      std::vector<QueryResponse> batch_results;
       const auto run_batch = [&] {
-        batch_results = engine.query_batch(sources, row.engine);
+        batch_results = engine.serve_batch(requests);
       };
 
       // Warm-up (also materializes every result for the equality check).
@@ -247,14 +261,15 @@ int main() {
     for (const std::size_t fc : {1, 2, 4, 8}) {
       SsspEngine frag_engine = engine;  // shares the preprocessed graph
       frag_engine.enable_fragments(fc);
+      const std::vector<QueryRequest> frag_requests =
+          full_requests(sources, QueryEngine::kFragment);
       QueryContext fctx(g.num_vertices());
-      std::vector<QueryResult> frag_results;
+      std::vector<QueryResponse> frag_results;
       const auto run_frag = [&] {
         frag_results.clear();
-        frag_results.reserve(sources.size());
-        for (const Vertex src : sources) {
-          frag_results.push_back(
-              frag_engine.query(src, QueryEngine::kFragment, fctx));
+        frag_results.reserve(frag_requests.size());
+        for (const QueryRequest& req : frag_requests) {
+          frag_results.push_back(frag_engine.serve(req, fctx));
         }
       };
       run_frag();  // warm-up + equality check

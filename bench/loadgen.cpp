@@ -37,7 +37,7 @@
 // request through the server's span pipeline, 0 = off — for measuring
 // tracing overhead under load).
 //
-// `--engine flat|bst|bstflat|fragment` (or RS_ENGINE; argv wins) selects
+// `--engine flat|bst|fragment` (or RS_ENGINE; argv wins) selects
 // the query engine every request runs on; fragment builds the partitioned
 // substrate first (RS_FRAGMENTS fragments). The engine label lands in the
 // JSON only when it is NOT flat, so the default metrics stay comparable
@@ -57,6 +57,7 @@
 
 #include "core/engine.hpp"
 #include "exp_common.hpp"
+#include "obs/histogram.hpp"
 #include "obs/trace.hpp"
 #include "parallel/primitives.hpp"
 #include "parallel/rng.hpp"
@@ -90,13 +91,14 @@ std::vector<QueryRequest> make_requests(const Graph& g,
   return requests;
 }
 
-bool verify(const QueryResponse& resp, const QueryResult& ref) {
+/// Checks every target of `resp` against the full distance row `ref`.
+bool verify(const QueryResponse& resp, const std::vector<Dist>& ref) {
   for (const TargetResult& tr : resp.targets) {
-    if (tr.dist != ref.dist[tr.target]) {
+    if (tr.dist != ref[tr.target]) {
       std::fprintf(stderr, "MISMATCH source %u target %u: %llu != %llu\n",
                    resp.source, tr.target,
                    static_cast<unsigned long long>(tr.dist),
-                   static_cast<unsigned long long>(ref.dist[tr.target]));
+                   static_cast<unsigned long long>(ref[tr.target]));
       return false;
     }
   }
@@ -142,7 +144,7 @@ struct ClosedResult {
 ClosedResult run_closed(const SsspEngine& engine, ServerOptions opts,
                         const std::vector<QueryRequest>& requests,
                         const VerifySlot& check, std::uint64_t total,
-                        int clients, LatencyHistogram::Snapshot* latency,
+                        int clients, obs::Histogram::Snapshot* latency,
                         ServerStats* stats,
                         const std::vector<std::size_t>* schedule = nullptr,
                         const std::vector<QueryRequest>* warm = nullptr) {
@@ -200,8 +202,9 @@ struct OpenResult {
 /// queue-full rejections are counted as shed load, not failures.
 OpenResult run_open(const SsspEngine& engine, ServerOptions opts,
                     const std::vector<QueryRequest>& requests,
-                    const std::vector<QueryResult>& ref, std::uint64_t total,
-                    double rate, LatencyHistogram::Snapshot* latency) {
+                    const std::vector<std::vector<Dist>>& ref,
+                    std::uint64_t total, double rate,
+                    obs::Histogram::Snapshot* latency) {
   SsspServer server(engine, opts);
   OpenResult out;
   out.offered_qps = rate;
@@ -251,10 +254,9 @@ QueryEngine parse_engine(int argc, char** argv, std::string& name_out) {
   name_out = name;
   if (name == "flat") return QueryEngine::kFlat;
   if (name == "bst") return QueryEngine::kBst;
-  if (name == "bstflat") return QueryEngine::kBstFlat;
   if (name == "fragment") return QueryEngine::kFragment;
   std::fprintf(stderr,
-               "loadgen: unknown engine '%s' (flat|bst|bstflat|fragment)\n",
+               "loadgen: unknown engine '%s' (flat|bst|fragment)\n",
                name.c_str());
   std::exit(1);
 }
@@ -318,9 +320,15 @@ int main(int argc, char** argv) {
   const std::vector<Vertex> sources = sample_sources(g, pool, /*seed=*/777);
   const std::vector<QueryRequest> requests =
       make_requests(g, sources, targets_per, qe);
-  std::vector<QueryResult> ref;
+  // Reference rows: one full-distance flat serve per pooled source.
+  std::vector<std::vector<Dist>> ref;
   ref.reserve(sources.size());
-  for (const Vertex src : sources) ref.push_back(engine.query(src));
+  for (const Vertex src : sources) {
+    QueryRequest full;
+    full.source = src;
+    full.want_full_distances = true;
+    ref.push_back(engine.serve(full).dist);
+  }
 
   // Warm the engine's leased batch pools (and code paths) outside any
   // measured window, so the server latencies reflect steady state.
@@ -343,7 +351,7 @@ int main(int argc, char** argv) {
   };
 
   if (mode == "closed" || mode == "both") {
-    LatencyHistogram::Snapshot lat;
+    obs::Histogram::Snapshot lat;
     ServerStats stats;
     const ClosedResult r = run_closed(engine, opts, requests, check_targets,
                                       total, clients, &lat, &stats);
@@ -398,7 +406,7 @@ int main(int argc, char** argv) {
       topk_requests.push_back(std::move(req));
       std::vector<std::pair<Dist, Vertex>> prefix;
       for (Vertex v = 0; v < g.num_vertices(); ++v) {
-        if (ref[i].dist[v] < kInfDist) prefix.push_back({ref[i].dist[v], v});
+        if (ref[i][v] < kInfDist) prefix.push_back({ref[i][v], v});
       }
       const std::size_t m = std::min(k, prefix.size());
       std::partial_sort(prefix.begin(),
@@ -440,7 +448,7 @@ int main(int argc, char** argv) {
       rate = 0.7 * cal.qps;
       if (rate < 1.0) rate = 1.0;
     }
-    LatencyHistogram::Snapshot lat;
+    obs::Histogram::Snapshot lat;
     const OpenResult r =
         run_open(engine, opts, requests, ref, total, rate, &lat);
     ok = ok && r.ok;

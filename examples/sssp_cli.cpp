@@ -231,7 +231,7 @@ int cmd_query(const Args& args) {
     std::fprintf(stderr,
                  "usage: sssp_cli query <graph> <pre> --source S "
                  "[--targets A,B,C | --target T] [--paths 0|1] "
-                 "[--engine flat|bst|bstflat|fragment] [--fragments F]\n");
+                 "[--engine flat|bst|fragment] [--fragments F]\n");
     return 1;
   }
   const Graph g = load_graph(args.positional()[0]);
@@ -253,8 +253,6 @@ int cmd_query(const Args& args) {
   const std::string which = args.get("--engine", "flat");
   if (which == "bst") {
     req.engine = QueryEngine::kBst;
-  } else if (which == "bstflat") {
-    req.engine = QueryEngine::kBstFlat;
   } else if (which == "fragment") {
     req.engine = QueryEngine::kFragment;
     // 0 = the RS_FRAGMENTS env default (falls back to the worker count).
@@ -264,7 +262,7 @@ int cmd_query(const Args& args) {
     req.engine = QueryEngine::kFlat;
   } else {
     throw std::invalid_argument("unknown --engine " + which +
-                                " (flat|bst|bstflat|fragment)");
+                                " (flat|bst|fragment)");
   }
 
   Timer t;

@@ -11,7 +11,7 @@
 // Daemon flags: --port P (TCP listener; default stdin), --queue N
 // (admission queue depth, default 1024), --max-batch N (micro-batch cap,
 // default 64), --budget-us N (coalescing window, default 200),
-// --batchers N (batcher threads, default 1), --engine flat|bst|bstflat,
+// --batchers N (batcher threads, default 1), --engine flat|bst,
 // --cache 0|1 (hot-source result cache, default 0), --landmarks N (ALT
 // oracle with N landmarks, default 0 = off), --dynamic 0|1 (live weight
 // updates; requires in-process preprocessing, default 0),
@@ -51,7 +51,9 @@
 // rejected line gets `error: <reason>` (bad ids and out-of-range vertices
 // are rejected by admission control without touching the engine). EOF (or
 // SIGINT/SIGTERM for TCP) drains in-flight requests and prints the
-// serving stats before exiting.
+// serving stats before exiting; on a signal, connected clients that are
+// idle are disconnected rather than waited for. An unknown --engine name
+// is an error, not a fallback.
 //
 // With no arguments, runs a self-contained demo: preprocesses a small
 // road network, fires concurrent clients through the daemon, verifies
@@ -73,7 +75,9 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -327,7 +331,9 @@ void on_signal(int) {
 
 /// Blocking TCP front-end: line protocol, one thread per connection. All
 /// connections feed the same server, so requests from different clients
-/// coalesce into shared micro-batches.
+/// coalesce into shared micro-batches. Once the listener closes, every
+/// still-open connection is shut down for reading: a thread blocked in
+/// read() sees EOF, and a reply already being answered is still written.
 int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
               QueryEngine engine, int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -352,11 +358,20 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
   std::signal(SIGTERM, on_signal);
   std::fprintf(stderr, "sssp_serve: listening on port %d\n", port);
 
+  // Open client sockets. A thread removes its fd under the lock before
+  // closing it, so the shutdown pass below never touches a reused fd.
+  std::mutex clients_mutex;
+  std::set<int> clients;
   std::vector<std::thread> conns;
   while (g_stop == 0) {
     const int client = ::accept(fd, nullptr, nullptr);
     if (client < 0) break;  // listener closed by the signal handler
-    conns.emplace_back([client, &server, dyn, engine] {
+    {
+      const std::lock_guard<std::mutex> lock(clients_mutex);
+      clients.insert(client);
+    }
+    // By reference: everything captured outlives the joined threads.
+    conns.emplace_back([&, client] {
       std::string buf;
       char chunk[4096];
       ssize_t got;
@@ -373,8 +388,16 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
           if (::write(client, reply.data(), reply.size()) < 0) break;
         }
       }
+      {
+        const std::lock_guard<std::mutex> lock(clients_mutex);
+        clients.erase(client);
+      }
       ::close(client);
     });
+  }
+  {
+    const std::lock_guard<std::mutex> lock(clients_mutex);
+    for (const int client : clients) ::shutdown(client, SHUT_RD);
   }
   for (std::thread& t : conns) t.join();
   if (g_stop == 0) ::close(fd);
@@ -557,6 +580,14 @@ int main(int argc, char** argv) {
   if (args.positional().empty()) return demo();
 
   try {
+    const std::string which = args.get("--engine", "flat");
+    if (which != "flat" && which != "bst") {
+      throw std::invalid_argument("unknown --engine " + which +
+                                  " (flat|bst)");
+    }
+    const QueryEngine qe =
+        which == "bst" ? QueryEngine::kBst : QueryEngine::kFlat;
+
     const std::string graph_path = args.positional()[0];
     Graph g = graph_path.size() > 3 &&
                       graph_path.substr(graph_path.size() - 3) == ".gr"
@@ -582,11 +613,6 @@ int main(int argc, char** argv) {
       opts.enable_landmarks = true;
       opts.landmarks.count = static_cast<std::size_t>(landmarks);
     }
-
-    const std::string which = args.get("--engine", "flat");
-    const QueryEngine qe = which == "bst"       ? QueryEngine::kBst
-                           : which == "bstflat" ? QueryEngine::kBstFlat
-                                                : QueryEngine::kFlat;
 
     PreprocessOptions popts;
     popts.rho = static_cast<Vertex>(args.get_int("--rho", 64));

@@ -66,24 +66,6 @@ void SsspEngine::enable_fragments(std::size_t count, PartitionMode mode) {
   fragment_mode_ = mode;
 }
 
-void SsspEngine::replace(Graph original, PreprocessResult pre) {
-  if (pre.graph.num_vertices() != original.num_vertices() ||
-      pre.radius.size() != original.num_vertices()) {
-    throw std::invalid_argument(
-        "SsspEngine::replace: preprocessing/graph mismatch");
-  }
-  original_ = std::move(original);
-  pre_ = std::move(pre);
-  if (fragments_ != nullptr) {
-    // Re-partition the new graph the same way (resolved count, same mode),
-    // so kFragment keeps working across the swap.
-    fragments_ = std::make_shared<const FragmentedGraph>(
-        pre_.graph, fragments_->num_fragments(), fragment_mode_);
-  }
-  transpose_ = std::make_unique<TransposeCache>();
-  ++graph_epoch_;
-}
-
 void SsspEngine::check_engine(QueryEngine engine) const {
   if (engine == QueryEngine::kUnweighted &&
       (pre_.added_edges != 0 || pre_.graph.max_weight() != 1)) {
@@ -155,9 +137,13 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
   const bool topk = req.kind == RequestKind::kTopK;
   const bool early = !topk && !req.targets.empty() && !req.want_full_distances;
   if (early) {
-    const Dist* lb = req.target_lower_bounds.empty()
-                         ? nullptr
-                         : req.target_lower_bounds.data();
+    // Lower bounds are dropped for path requests: a bound exit proves a
+    // target final while the original-graph vertices skipped by the
+    // shortcut arc that set its distance may not be exact yet, and the
+    // closure walk below needs an exact predecessor at every hop.
+    const bool use_bounds =
+        !req.target_lower_bounds.empty() && !req.want_paths;
+    const Dist* lb = use_bounds ? req.target_lower_bounds.data() : nullptr;
     ctx.set_targets(n, req.targets.data(), req.targets.size(), lb);
   } else {
     ctx.clear_targets();
@@ -172,10 +158,6 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
     case QueryEngine::kBst:
       radius_stepping_bst_partial(pre_.graph, req.source, pre_.radius, ctx,
                                   &resp.stats);
-      break;
-    case QueryEngine::kBstFlat:
-      radius_stepping_flatset_partial(pre_.graph, req.source, pre_.radius,
-                                      ctx, &resp.stats);
       break;
     case QueryEngine::kUnweighted:
       radius_stepping_unweighted_partial(pre_.graph, req.source, pre_.radius,
@@ -356,63 +338,6 @@ std::vector<QueryResponse> SsspEngine::serve_batch(
   for (std::size_t i = 0; i < batch; ++i) {
     run_serve(requests[i], ctx, tp, out[i]);
   }
-  return out;
-}
-
-QueryResult SsspEngine::query(Vertex source, QueryEngine engine) const {
-  QueryContext ctx(pre_.graph.num_vertices());
-  return query(source, engine, ctx);
-}
-
-QueryResult SsspEngine::query(Vertex source, QueryEngine engine,
-                              QueryContext& ctx) const {
-  QueryRequest req;
-  req.source = source;
-  req.want_full_distances = true;
-  req.engine = engine;
-  QueryResponse resp = serve(req, ctx);
-  QueryResult out;
-  out.source = resp.source;
-  out.dist = std::move(resp.dist);
-  out.stats = resp.stats;
-  return out;
-}
-
-std::vector<QueryResult> SsspEngine::query_batch(
-    const std::vector<Vertex>& sources, QueryEngine engine) const {
-  std::vector<QueryRequest> requests(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    requests[i].source = sources[i];
-    requests[i].want_full_distances = true;
-    requests[i].engine = engine;
-  }
-  std::vector<QueryResponse> responses = serve_batch(requests);
-  std::vector<QueryResult> out(responses.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    out[i].source = responses[i].source;
-    out[i].dist = std::move(responses[i].dist);
-    out[i].stats = responses[i].stats;
-  }
-  return out;
-}
-
-std::vector<Vertex> SsspEngine::path(const QueryResult& q,
-                                     Vertex target) const {
-  if (q.dist.size() != original_.num_vertices()) {
-    // A default-constructed or foreign-engine QueryResult would index
-    // q.dist out of bounds below; reject it up front.
-    throw std::invalid_argument(
-        "SsspEngine::path: QueryResult does not belong to this engine");
-  }
-  if (target >= original_.num_vertices()) {
-    throw std::invalid_argument("SsspEngine::path: bad target");
-  }
-  if (q.dist[target] == kInfDist) return {};
-  Graph local;
-  const Graph& tg = transpose(local);
-  std::vector<Vertex> out;
-  extract_path_by_closure(tg, target, [&q](Vertex v) { return q.dist[v]; },
-                          out);
   return out;
 }
 

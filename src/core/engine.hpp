@@ -19,9 +19,6 @@
 /// request-parallel across a per-worker context pool when the batch is at
 /// least as wide as the worker count, intra-query parallelism otherwise.
 ///
-/// The pre-PR5 API (query / query_batch / path) remains as thin wrappers
-/// over serve*: a query() is exactly a serve() with want_full_distances.
-///
 /// Dynamic graphs: engines are immutable-after-publish snapshots. A live
 /// deployment wraps each engine in a shared_ptr, serves through
 /// SnapshotSwap pins (graph/graph_swap.hpp), and produces successors with
@@ -44,16 +41,6 @@
 #include "shortcut/shortcut.hpp"
 
 namespace rs {
-
-/// Legacy full-distance query result (the pre-PR5 API shape).
-struct QueryResult {
-  /// The query's source vertex.
-  Vertex source = kNoVertex;
-  /// dist[v] = shortest distance source -> v (kInfDist if unreachable).
-  std::vector<Dist> dist;
-  /// Execution counters of the run (steps, relaxations, ...).
-  RunStats stats;
-};
 
 /// Radius-Stepping SSSP engine over one preprocessed (k, rho)-graph
 /// snapshot (see file comment for the serving model).
@@ -134,31 +121,6 @@ class SsspEngine {
   /// failing the micro-batch it would have been coalesced into.
   void validate(const QueryRequest& req) const;
 
-  /// Legacy wrapper: full distances from `source` == serve() with
-  /// want_full_distances. Allocates fresh per-query state.
-  QueryResult query(Vertex source,
-                    QueryEngine engine = QueryEngine::kFlat) const;
-
-  /// Legacy wrapper over a caller-owned reusable context: after the first
-  /// query the engine hot path performs no heap allocations (the returned
-  /// QueryResult::dist is the one unavoidable output allocation). This
-  /// covers every engine, including kBst — its treap nodes come from the
-  /// context's arena and are recycled across queries.
-  QueryResult query(Vertex source, QueryEngine engine,
-                    QueryContext& ctx) const;
-
-  /// Legacy wrapper: one full-distance query per source (== serve_batch
-  /// over want_full_distances requests), same two-level scheduling.
-  std::vector<QueryResult> query_batch(
-      const std::vector<Vertex>& sources,
-      QueryEngine engine = QueryEngine::kFlat) const;
-
-  /// Shortest path from a query's source to `target`, as vertices of the
-  /// ORIGINAL graph (shortcut edges expanded away). Empty if unreachable.
-  /// Throws std::invalid_argument if `q` does not belong to this engine
-  /// (wrong-sized or default-constructed distance vector).
-  std::vector<Vertex> path(const QueryResult& q, Vertex target) const;
-
   /// The input graph (no shortcuts) — the one paths are expressed in.
   const Graph& original_graph() const { return original_; }
   /// The (k, rho)-graph queries actually run on (original + shortcuts).
@@ -166,10 +128,9 @@ class SsspEngine {
   /// Full preprocessing artifact: graph, radii, options, edge accounting.
   const PreprocessResult& preprocessing() const { return pre_; }
 
-  /// Preprocessing generation this engine is serving. Starts at 1 and is
-  /// bumped by every replace() and next_epoch(); responses are stamped
-  /// with it
-  /// (QueryResponse::graph_epoch), and the caching layer
+  /// Preprocessing generation this engine is serving. Starts at 1; each
+  /// next_epoch() successor serves its prior's epoch + 1. Responses are
+  /// stamped with it (QueryResponse::graph_epoch), and the caching layer
   /// (serve/result_cache.hpp, serve/landmark_oracle.hpp) keys on it so a
   /// graph swap implicitly invalidates every cached row. Copies keep the
   /// epoch: they serve the same preprocessing, so their answers are
@@ -181,8 +142,8 @@ class SsspEngine {
   /// kFragment requests can be served. `count` == 0 means
   /// default_num_fragments() (the RS_FRAGMENTS env var, else a
   /// worker-count-derived default). Idempotent in effect: calling again
-  /// rebuilds with the new count/mode. replace() re-partitions the new
-  /// graph with the same resolved count and mode automatically.
+  /// rebuilds with the new count/mode. next_epoch() re-partitions the
+  /// successor's graph with the same resolved count and mode.
   void enable_fragments(std::size_t count = 0,
                         PartitionMode mode = PartitionMode::kContiguous);
   /// True once enable_fragments() has built the substrate; kFragment
@@ -190,14 +151,6 @@ class SsspEngine {
   bool fragments_enabled() const { return fragments_ != nullptr; }
   /// The fragmented view (requires fragments_enabled()).
   const FragmentedGraph& fragments() const { return *fragments_; }
-
-  /// Swaps in a new graph + preprocessing (same validation as the wrapping
-  /// constructor) and bumps graph_epoch(), instantly staling every cached
-  /// answer derived from the old preprocessing. Warm context pools are
-  /// kept (contexts grow on demand and never shrink); the transpose cache
-  /// is rebuilt lazily. NOT thread-safe against concurrent serves — stop
-  /// serving, swap, resume (the serving daemon does exactly that).
-  void replace(Graph original, PreprocessResult pre);
 
  private:
   /// Request execution into `resp`. Validation must have happened already
@@ -221,12 +174,9 @@ class SsspEngine {
   // copies SHARE it (shared_ptr) — a copied engine serves identical
   // answers from the identical partition without re-partitioning. Null
   // until enable_fragments(). The resolved count/mode are kept so
-  // replace() can re-partition the new graph the same way.
+  // next_epoch() can re-partition the successor's graph the same way.
   std::shared_ptr<const FragmentedGraph> fragments_;
   PartitionMode fragment_mode_ = PartitionMode::kContiguous;
-  // Plain (not atomic) by design: replace() is documented as mutually
-  // exclusive with serving, and an atomic member would forfeit the
-  // defaulted move operations.
   std::uint64_t graph_epoch_ = 1;
 
   // Reusable per-worker context pools for serve_batch, boxed so the
@@ -254,8 +204,8 @@ class SsspEngine {
   std::unique_ptr<BatchPools> batch_pools_ = std::make_unique<BatchPools>();
 
   // Lazily-built transpose of the original graph: path reconstruction walks
-  // INCOMING arcs (directed-correct parents), and repeated path() calls
-  // share one transpose. Boxed for movability; built at most once.
+  // INCOMING arcs (directed-correct parents), and every want_paths request
+  // shares one transpose. Boxed for movability; built at most once.
   struct TransposeCache {
     std::once_flag once;
     Graph graph;

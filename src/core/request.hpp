@@ -27,8 +27,7 @@
 ///    explored.
 ///  * `want_full_distances` requests the classic O(n) dist vector; it
 ///    disables early termination (a partial vector would not be the full
-///    answer) and makes the response equivalent to the legacy query()
-///    API.
+///    answer), so the response carries a complete SSSP run.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +44,6 @@ enum class QueryEngine : std::uint8_t {
   kFlat,        ///< Atomic-array engine (default; fastest).
   kBst,         ///< Algorithm 2 on the arena-treap substrate (O(p log q)
                 ///< set operations).
-  kBstFlat,     ///< Algorithm 2 on the flat sorted-array substrate.
   kUnweighted,  ///< BFS-style engine; only valid when the graph is
                 ///< unit-weight and preprocessing added no shortcuts.
   kFragment,    ///< Fragment-parallel engine over the partitioned
@@ -101,7 +99,10 @@ struct QueryRequest {
   /// targets done steps before the plain step-boundary exit would.
   /// Bounds must be true lower bounds — an inadmissible bound silently
   /// yields wrong distances. Only consulted for early-terminating
-  /// targeted requests; ignored by kUnweighted (claimed == final already).
+  /// targeted requests; ignored by kUnweighted (claimed == final already)
+  /// and ignored when `want_paths` is set: a bound proves a target final
+  /// before the original-graph vertices behind the shortcut arc that set
+  /// its distance are exact, so no path could be expanded from there.
   std::vector<Dist> target_lower_bounds;
 
   /// Expand the shortest path for every reachable target (vertices of the

@@ -42,23 +42,4 @@ void radius_stepping_bst_partial(const Graph& g, Vertex source,
                                  const std::vector<Dist>& radius,
                                  QueryContext& ctx, RunStats* stats = nullptr);
 
-/// The same Algorithm 2 on the flat sorted-array substrate
-/// (pset/flat_set.hpp): O(n)-copy bulk operations instead of the treap's
-/// O(p log q). Identical results; exists to show the analysis only needs
-/// the ordered-set interface and to benchmark the substrate crossover.
-void radius_stepping_flatset(const Graph& g, Vertex source,
-                             const std::vector<Dist>& radius,
-                             QueryContext& ctx, std::vector<Dist>& out,
-                             RunStats* stats = nullptr);
-
-std::vector<Dist> radius_stepping_flatset(const Graph& g, Vertex source,
-                                          const std::vector<Dist>& radius,
-                                          RunStats* stats = nullptr);
-
-/// Serving primitive for the flat-set substrate (see *_bst_partial).
-void radius_stepping_flatset_partial(const Graph& g, Vertex source,
-                                     const std::vector<Dist>& radius,
-                                     QueryContext& ctx,
-                                     RunStats* stats = nullptr);
-
 }  // namespace rs

@@ -17,7 +17,7 @@
 // default), draws them from a single TreapArena — a freelist-backed pool
 // that recycles nodes across treaps and across queries — or draws them
 // from a TreapArenaPool of per-worker arenas. The serving hot path
-// (core/rs_bst_impl.hpp) keeps one pool per QueryContext, so a warm
+// (core/rs_bst.cpp) keeps one pool per QueryContext, so a warm
 // context answers kBst queries without touching the heap: every erase,
 // split-discard, and subtract-consumed skeleton splices straight back onto
 // a freelist instead of running delete.

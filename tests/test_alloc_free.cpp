@@ -203,9 +203,9 @@ TEST(AllocFree, WarmTargetedFragmentServeAllocatesNothing) {
   // (also builds the transpose).
   engine.serve(req, ctx, resp);
   engine.serve(req, ctx, resp);
-  const QueryResult full = engine.query(3);
+  const std::vector<Dist> full = dijkstra(g, 3);
   for (const TargetResult& tr : resp.targets) {
-    ASSERT_EQ(tr.dist, full.dist[tr.target]);
+    ASSERT_EQ(tr.dist, full[tr.target]);
   }
 
   std::uint64_t measured;
@@ -217,7 +217,7 @@ TEST(AllocFree, WarmTargetedFragmentServeAllocatesNothing) {
   EXPECT_EQ(measured, 0u);
   ASSERT_EQ(resp.targets.size(), req.targets.size());
   for (const TargetResult& tr : resp.targets) {
-    ASSERT_EQ(tr.dist, full.dist[tr.target]);
+    ASSERT_EQ(tr.dist, full[tr.target]);
     ASSERT_EQ(tr.path.back(), tr.target);
   }
 }
@@ -261,14 +261,11 @@ TEST(AllocFree, WarmTargetedServeAllocatesNothing) {
   ctx.set_sequential(true);
   QueryResponse resp;
   engine.serve(req, ctx, resp);  // warm-up (also builds the transpose)
-  const QueryResult full = engine.query(3);
+  const std::vector<Dist> full = dijkstra(g, 3);
   for (const TargetResult& tr : resp.targets) {
-    ASSERT_EQ(tr.dist, full.dist[tr.target]);
+    ASSERT_EQ(tr.dist, full[tr.target]);
   }
 
-  // kBstFlat is exempt: its flat-set substrate reallocates set storage by
-  // design (see the engine matrix in README). kFlat and kBst carry the
-  // zero-allocation contract.
   for (const QueryEngine qe : {QueryEngine::kFlat, QueryEngine::kBst}) {
     req.engine = qe;
     engine.serve(req, ctx, resp);  // warm this engine's scratch too
@@ -281,7 +278,7 @@ TEST(AllocFree, WarmTargetedServeAllocatesNothing) {
     EXPECT_EQ(measured, 0u) << "engine " << static_cast<int>(qe);
     ASSERT_EQ(resp.targets.size(), req.targets.size());
     for (const TargetResult& tr : resp.targets) {
-      ASSERT_EQ(tr.dist, full.dist[tr.target]);  // still exact when warm
+      ASSERT_EQ(tr.dist, full[tr.target]);  // still exact when warm
       ASSERT_EQ(tr.path.back(), tr.target);
     }
   }
@@ -319,10 +316,10 @@ TEST(AllocFree, WarmCachedTargetedServeAllocatesNothing) {
   }
   EXPECT_EQ(measured, 0u);
 
-  const QueryResult full = engine.query(3);
+  const std::vector<Dist> full = dijkstra(g, 3);
   ASSERT_EQ(resp.targets.size(), req.targets.size());
   for (const TargetResult& tr : resp.targets) {
-    ASSERT_EQ(tr.dist, full.dist[tr.target]);  // still exact when warm
+    ASSERT_EQ(tr.dist, full[tr.target]);  // still exact when warm
   }
 }
 

@@ -12,7 +12,8 @@
 //    targeted serves with early termination, top-k, and serve_batch;
 //  * kFragment requests are rejected (std::invalid_argument, not a
 //    crash) when the engine was built without enable_fragments(), and
-//    keep working across replace().
+//    keep working in a next_epoch() successor, which keeps the fragment
+//    count and partition mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -381,36 +382,41 @@ TEST(FragmentServe, RejectsRequestsWithoutSubstrate) {
   req.engine = QueryEngine::kFragment;
   EXPECT_THROW(engine.validate(req), std::invalid_argument);
   EXPECT_THROW(engine.serve(req), std::invalid_argument);
-  EXPECT_THROW((void)engine.query(0, QueryEngine::kFragment),
-               std::invalid_argument);
+  EXPECT_THROW((void)engine.serve_batch({req}), std::invalid_argument);
 }
 
 TEST(FragmentServe, SurvivesReplaceAndCopy) {
   const auto suite = test::weighted_suite(34);
   const Graph& g1 = suite[0].graph;
   const Graph& g2 = suite[1].graph;
-  SsspEngine engine = raw_engine(g1);
-  engine.enable_fragments(4);
-  ASSERT_TRUE(engine.fragments_enabled());
-  EXPECT_EQ(engine.fragments().num_fragments(), 4u);
+  for (const PartitionMode mode :
+       {PartitionMode::kContiguous, PartitionMode::kHash}) {
+    SsspEngine engine = raw_engine(g1);
+    engine.enable_fragments(4, mode);
+    ASSERT_TRUE(engine.fragments_enabled());
+    EXPECT_EQ(engine.fragments().num_fragments(), 4u);
 
-  const SsspEngine copy = engine;  // shares the substrate
-  EXPECT_TRUE(copy.fragments_enabled());
-  EXPECT_EQ(&copy.fragments(), &engine.fragments());
+    const SsspEngine copy = engine;  // shares the substrate
+    EXPECT_TRUE(copy.fragments_enabled());
+    EXPECT_EQ(&copy.fragments(), &engine.fragments());
 
-  PreprocessResult pre;
-  pre.graph = g2;
-  pre.radius = constant_radii(g2.num_vertices(), 25);
-  pre.options.heuristic = ShortcutHeuristic::kNone;
-  engine.replace(g2, std::move(pre));
-  ASSERT_TRUE(engine.fragments_enabled());
-  EXPECT_EQ(engine.fragments().num_fragments(), 4u);
-  EXPECT_EQ(engine.fragments().num_vertices(), g2.num_vertices());
-  const QueryResult after = engine.query(0, QueryEngine::kFragment);
-  EXPECT_EQ(after.dist, dijkstra(g2, 0));
-  // The copy still serves the OLD graph.
-  const QueryResult old = copy.query(0, QueryEngine::kFragment);
-  EXPECT_EQ(old.dist, dijkstra(g1, 0));
+    // The successor re-partitions the new graph with the same resolved
+    // count AND mode.
+    PreprocessResult pre;
+    pre.graph = g2;
+    pre.radius = constant_radii(g2.num_vertices(), 25);
+    pre.options.heuristic = ShortcutHeuristic::kNone;
+    const SsspEngine next = SsspEngine::next_epoch(engine, g2, std::move(pre));
+    ASSERT_TRUE(next.fragments_enabled());
+    EXPECT_EQ(next.fragments().num_fragments(), 4u);
+    EXPECT_EQ(next.fragments().num_vertices(), g2.num_vertices());
+    EXPECT_EQ(next.fragments().partition().mode(), mode);
+    const QueryRequest req = test::full_request(0, QueryEngine::kFragment);
+    EXPECT_EQ(next.serve(req).dist, dijkstra(g2, 0));
+    // The prior engine and its copy still serve the OLD graph.
+    EXPECT_EQ(engine.serve(req).dist, dijkstra(g1, 0));
+    EXPECT_EQ(copy.serve(req).dist, dijkstra(g1, 0));
+  }
 }
 
 TEST(FragmentEngine, ValidatesInputs) {

@@ -9,13 +9,14 @@
 //  * exactness under assistance — an ALT-annotated targeted serve returns
 //    distances BIT-IDENTICAL to the plain serve in at most as many steps,
 //    across engines and worker counts (lower-bound exits must be
-//    invisible in the answers);
+//    invisible in the answers); annotated path requests expand genuine
+//    original-graph shortest paths;
 //  * top-k — kTopK responses equal the sorted (dist, vertex) prefix of a
 //    full Dijkstra run, across engines, k regimes, and disconnected
 //    graphs (fewer than k reachable);
-//  * epoch discipline — replace() invalidates the oracle; rebuild()
-//    revalidates it; annotate() touches only early-terminating targeted
-//    requests.
+//  * epoch discipline — a next_epoch() successor invalidates the oracle;
+//    rebuild() revalidates it; annotate() touches only early-terminating
+//    targeted requests.
 //  * persistence — save()/load() round-trips landmarks + rows (a restart
 //    skips `count` full SSSP rebuilds); corrupt or truncated input fails
 //    as a clean parse error behind bounds-checked header counts, never
@@ -37,6 +38,7 @@
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
 #include "parallel/primitives.hpp"
+#include "parallel/rng.hpp"
 #include "serve/landmark_oracle.hpp"
 #include "shortcut/shortcut.hpp"
 #include "test_util.hpp"
@@ -131,8 +133,7 @@ TEST(LandmarkOracle, AssistedServeBitIdenticalAcrossEnginesAndWorkers) {
   const Vertex n = g.num_vertices();
   for (const int workers : {1, 3, 8}) {
     set_num_workers(workers);
-    for (const QueryEngine qe :
-         {QueryEngine::kFlat, QueryEngine::kBst, QueryEngine::kBstFlat}) {
+    for (const QueryEngine qe : {QueryEngine::kFlat, QueryEngine::kBst}) {
       QueryContext ctx;
       for (const Vertex s : spread_sources(g, 5)) {
         QueryRequest plain;
@@ -187,6 +188,68 @@ TEST(LandmarkOracle, TightBoundTriggersEarlyExit) {
   EXPECT_LT(got.stats.steps, want.stats.steps);
 }
 
+/// Walks `path` arc by arc over the ORIGINAL graph: right endpoints, every
+/// hop an original arc (cheapest parallel arc counts), weights summing to
+/// `want`.
+void expect_original_shortest_path(const Graph& g, Vertex s, Vertex t,
+                                   const std::vector<Vertex>& path,
+                                   Dist want) {
+  ASSERT_FALSE(path.empty()) << "s=" << s << " t=" << t;
+  EXPECT_EQ(path.front(), s);
+  EXPECT_EQ(path.back(), t);
+  Dist total = 0;
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    Dist hop = kInfDist;
+    for (EdgeId e = g.first_arc(path[i - 1]); e < g.last_arc(path[i - 1]);
+         ++e) {
+      if (g.arc_target(e) == path[i]) {
+        hop = std::min(hop, static_cast<Dist>(g.arc_weight(e)));
+      }
+    }
+    ASSERT_NE(hop, kInfDist) << "s=" << s << " t=" << t << " hop " << i
+                             << " is not an original arc";
+    total += hop;
+  }
+  EXPECT_EQ(total, want) << "s=" << s << " t=" << t;
+}
+
+TEST(LandmarkOracle, AnnotatedPathRequestsExpandOriginalShortestPaths) {
+  // Regression: a lower-bound exit proves a target final while vertices
+  // behind the shortcut arc that set its distance are not exact yet, so
+  // expanding its path threw "no exact predecessor". The repro is a 40x40
+  // road lattice with weights up to the paper's L, DP shortcuts and 8
+  // landmarks, where a few percent of annotated route requests hit it.
+  const Graph g = assign_uniform_weights(gen::road_network(40, 40, 101), 7,
+                                         1, kPaperMaxWeight);
+  PreprocessOptions popts;
+  popts.rho = 32;
+  popts.k = 2;
+  popts.heuristic = ShortcutHeuristic::kDP;
+  const SsspEngine engine(g, popts);
+  LandmarkOptions lopts;
+  lopts.count = 8;
+  const LandmarkOracle oracle(engine, lopts);
+
+  const Vertex n = g.num_vertices();
+  const SplitRng rng(1);
+  QueryContext ctx;
+  QueryResponse resp;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    QueryRequest req;
+    req.source = static_cast<Vertex>(rng.bounded(0, i, n));
+    req.targets = {static_cast<Vertex>(rng.bounded(1, i, n))};
+    req.want_paths = true;
+    oracle.annotate(req);
+    ASSERT_EQ(req.target_lower_bounds.size(), 1u);
+    ASSERT_NO_THROW(engine.serve(req, ctx, resp)) << "request " << i;
+    const std::vector<Dist> truth = dijkstra(g, req.source);
+    const TargetResult& tr = resp.targets[0];
+    ASSERT_EQ(tr.dist, truth[tr.target]) << "request " << i;
+    expect_original_shortest_path(g, req.source, tr.target, tr.path,
+                                  truth[tr.target]);
+  }
+}
+
 TEST(LandmarkOracle, TopKMatchesSortedDijkstraPrefix) {
   for (const auto& c : test::weighted_suite()) {
     const SsspEngine engine = raw_engine(c.graph);
@@ -203,8 +266,7 @@ TEST(LandmarkOracle, TopKMatchesSortedDijkstraPrefix) {
       for (const std::uint32_t k :
            {std::uint32_t{1}, std::uint32_t{5}, std::uint32_t{32},
             static_cast<std::uint32_t>(n + 7)}) {
-        for (const QueryEngine qe :
-             {QueryEngine::kFlat, QueryEngine::kBst, QueryEngine::kBstFlat}) {
+        for (const QueryEngine qe : {QueryEngine::kFlat, QueryEngine::kBst}) {
           QueryRequest req;
           req.source = s;
           req.kind = RequestKind::kTopK;
@@ -254,18 +316,20 @@ TEST(LandmarkOracle, ReplaceInvalidatesAndRebuildRevalidates) {
   PreprocessOptions popts;
   popts.rho = 12;
   popts.k = 2;
-  SsspEngine engine(g1, popts);
+  const SsspEngine engine(g1, popts);
   LandmarkOracle oracle(engine, {});
   ASSERT_TRUE(oracle.valid_for(engine));
 
   const Graph g2 =
       assign_uniform_weights(gen::road_network(10, 10, 5), 6, 1, 100);
-  engine.replace(g2, preprocess(g2, popts));
-  EXPECT_FALSE(oracle.valid_for(engine));
+  const SsspEngine next =
+      SsspEngine::next_epoch(engine, g2, preprocess(g2, popts));
+  EXPECT_FALSE(oracle.valid_for(next));
+  EXPECT_TRUE(oracle.valid_for(engine));  // the prior snapshot still matches
 
-  oracle.rebuild(engine);
-  EXPECT_TRUE(oracle.valid_for(engine));
-  EXPECT_EQ(oracle.graph_epoch(), engine.graph_epoch());
+  oracle.rebuild(next);
+  EXPECT_TRUE(oracle.valid_for(next));
+  EXPECT_EQ(oracle.graph_epoch(), next.graph_epoch());
   expect_admissible(g2, oracle, "rebuilt");
 }
 
@@ -336,8 +400,8 @@ TEST(LandmarkOracleSerialize, RoundTripPreservesRowsAndServing) {
 
   // Epoch discipline survives the round trip: a graph swap after saving
   // makes the LOADED rows stale too.
-  SsspEngine swapped = engine;
-  swapped.replace(g, preprocess(g, popts));
+  const SsspEngine swapped =
+      SsspEngine::next_epoch(engine, g, preprocess(g, popts));
   EXPECT_FALSE(loaded.valid_for(swapped));
 }
 

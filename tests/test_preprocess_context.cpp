@@ -193,7 +193,8 @@ TEST(SsspEngine, PooledConstructorMatchesPlain) {
   const SsspEngine warm(g, opts, pool);
   expect_identical(plain.preprocessing(), pooled.preprocessing(), "pooled");
   expect_identical(plain.preprocessing(), warm.preprocessing(), "warm");
-  EXPECT_EQ(plain.query(3).dist, warm.query(3).dist);
+  EXPECT_EQ(plain.serve(test::full_request(3)).dist,
+            warm.serve(test::full_request(3)).dist);
 }
 
 }  // namespace

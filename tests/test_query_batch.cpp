@@ -1,4 +1,4 @@
-// Batch-serving equivalence suite: query_batch's two-level scheduler and
+// Batch-serving equivalence suite: serve_batch's two-level scheduler and
 // the reusable QueryContext must be invisible to callers — batched results
 // bit-identical to sequential per-source queries, warm contexts identical
 // to fresh ones, sequential engine twins identical to the parallel ones —
@@ -50,6 +50,22 @@ std::vector<Vertex> spread_sources(const Graph& g, std::size_t count) {
   return out;
 }
 
+/// One full-distance request per source, all on `qe`.
+std::vector<QueryRequest> full_requests(const std::vector<Vertex>& sources,
+                                        QueryEngine qe = QueryEngine::kFlat) {
+  std::vector<QueryRequest> out;
+  for (const Vertex s : sources) out.push_back(test::full_request(s, qe));
+  return out;
+}
+
+/// Per-request serve() answers: the sequential reference for a batch.
+std::vector<QueryResponse> serve_each(const SsspEngine& engine,
+                                      const std::vector<QueryRequest>& reqs) {
+  std::vector<QueryResponse> out;
+  for (const QueryRequest& req : reqs) out.push_back(engine.serve(req));
+  return out;
+}
+
 TEST(QueryBatch, MatchesSequentialQueriesOnWeightedSuite) {
   WorkerGuard guard;
   for (const auto& [name, g] : test::weighted_suite(11)) {
@@ -58,15 +74,14 @@ TEST(QueryBatch, MatchesSequentialQueriesOnWeightedSuite) {
     opts.k = 2;
     const SsspEngine engine(g, opts);
     const std::vector<Vertex> sources = spread_sources(g, 8);
-
-    std::vector<QueryResult> ref;
-    for (const Vertex s : sources) ref.push_back(engine.query(s));
+    const std::vector<QueryRequest> requests = full_requests(sources);
+    const std::vector<QueryResponse> ref = serve_each(engine, requests);
 
     // 1 worker: sequential-twin batch loop; 3 workers: batch narrower than
     // 8 sources -> source-parallel; 8+: dynamic schedule with idle workers.
     for (const int nw : {1, 3, 8}) {
       set_num_workers(nw);
-      const auto batch = engine.query_batch(sources);
+      const auto batch = engine.serve_batch(requests);
       ASSERT_EQ(batch.size(), sources.size());
       for (std::size_t i = 0; i < sources.size(); ++i) {
         EXPECT_EQ(batch[i].source, sources[i]);
@@ -86,11 +101,11 @@ TEST(QueryBatch, MatchesSequentialQueriesOnAdversarialSuite) {
   for (const auto& [name, g] : test::adversarial_suite(5)) {
     const SsspEngine engine = raw_engine(g);
     const std::vector<Vertex> sources = spread_sources(g, 6);
-    std::vector<QueryResult> ref;
-    for (const Vertex s : sources) ref.push_back(engine.query(s));
+    const std::vector<QueryRequest> requests = full_requests(sources);
+    const std::vector<QueryResponse> ref = serve_each(engine, requests);
     for (const int nw : {1, 4}) {
       set_num_workers(nw);
-      const auto batch = engine.query_batch(sources);
+      const auto batch = engine.serve_batch(requests);
       for (std::size_t i = 0; i < sources.size(); ++i) {
         EXPECT_EQ(batch[i].dist, ref[i].dist) << name << " nw=" << nw;
         EXPECT_EQ(batch[i].dist, dijkstra(g, sources[i])) << name;
@@ -106,15 +121,13 @@ TEST(QueryBatch, UnweightedEngineBatchMatches) {
   opts.rho = 8;
   opts.heuristic = ShortcutHeuristic::kNone;
   const SsspEngine engine(g, opts);
-  const std::vector<Vertex> sources = spread_sources(g, 6);
-  std::vector<QueryResult> ref;
-  for (const Vertex s : sources) {
-    ref.push_back(engine.query(s, QueryEngine::kUnweighted));
-  }
+  const std::vector<QueryRequest> requests =
+      full_requests(spread_sources(g, 6), QueryEngine::kUnweighted);
+  const std::vector<QueryResponse> ref = serve_each(engine, requests);
   for (const int nw : {1, 4}) {
     set_num_workers(nw);
-    const auto batch = engine.query_batch(sources, QueryEngine::kUnweighted);
-    for (std::size_t i = 0; i < sources.size(); ++i) {
+    const auto batch = engine.serve_batch(requests);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
       EXPECT_EQ(batch[i].dist, ref[i].dist) << "nw=" << nw;
       EXPECT_EQ(batch[i].stats.steps, ref[i].stats.steps);
     }
@@ -122,33 +135,31 @@ TEST(QueryBatch, UnweightedEngineBatchMatches) {
 }
 
 TEST(QueryBatch, BstEnginesBatchMatchesSequentialAcrossWorkers) {
-  // kBst now runs through the same two-level scheduler as the flat engine,
-  // on both ordered-set substrates, with per-worker warm contexts. Batched
-  // results must be bit-identical to fresh per-source queries, and the
-  // schedule-independent stats must survive the sequential twin.
+  // kBst runs through the same two-level scheduler as the flat engine,
+  // with per-worker warm contexts. Batched results must be bit-identical
+  // to fresh per-source queries, and the schedule-independent stats must
+  // survive the sequential twin.
   WorkerGuard guard;
-  for (const QueryEngine qe : {QueryEngine::kBst, QueryEngine::kBstFlat}) {
-    for (const auto& [name, g] : test::weighted_suite(11)) {
-      PreprocessOptions opts;
-      opts.rho = 10;
-      opts.k = 2;
-      const SsspEngine engine(g, opts);
-      const std::vector<Vertex> sources = spread_sources(g, 6);
+  for (const auto& [name, g] : test::weighted_suite(11)) {
+    PreprocessOptions opts;
+    opts.rho = 10;
+    opts.k = 2;
+    const SsspEngine engine(g, opts);
+    const std::vector<Vertex> sources = spread_sources(g, 6);
+    const std::vector<QueryRequest> requests =
+        full_requests(sources, QueryEngine::kBst);
+    const std::vector<QueryResponse> ref = serve_each(engine, requests);
 
-      std::vector<QueryResult> ref;
-      for (const Vertex s : sources) ref.push_back(engine.query(s, qe));
-
-      for (const int nw : {1, 3, 8}) {
-        set_num_workers(nw);
-        const auto batch = engine.query_batch(sources, qe);
-        ASSERT_EQ(batch.size(), sources.size());
-        for (std::size_t i = 0; i < sources.size(); ++i) {
-          EXPECT_EQ(batch[i].source, sources[i]);
-          EXPECT_EQ(batch[i].dist, ref[i].dist)
-              << name << " nw=" << nw << " source " << sources[i];
-          EXPECT_EQ(batch[i].stats.steps, ref[i].stats.steps) << name;
-          EXPECT_EQ(batch[i].stats.settled, ref[i].stats.settled) << name;
-        }
+    for (const int nw : {1, 3, 8}) {
+      set_num_workers(nw);
+      const auto batch = engine.serve_batch(requests);
+      ASSERT_EQ(batch.size(), sources.size());
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        EXPECT_EQ(batch[i].source, sources[i]);
+        EXPECT_EQ(batch[i].dist, ref[i].dist)
+            << name << " nw=" << nw << " source " << sources[i];
+        EXPECT_EQ(batch[i].stats.steps, ref[i].stats.steps) << name;
+        EXPECT_EQ(batch[i].stats.settled, ref[i].stats.settled) << name;
       }
     }
   }
@@ -159,38 +170,36 @@ TEST(QueryBatch, BstBatchExactOnAdversarialSuite) {
   for (const auto& [name, g] : test::adversarial_suite(9)) {
     const SsspEngine engine = raw_engine(g);
     const std::vector<Vertex> sources = spread_sources(g, 5);
+    const std::vector<QueryRequest> requests =
+        full_requests(sources, QueryEngine::kBst);
     for (const int nw : {1, 4}) {
       set_num_workers(nw);
-      for (const QueryEngine qe :
-           {QueryEngine::kBst, QueryEngine::kBstFlat}) {
-        const auto batch = engine.query_batch(sources, qe);
-        for (std::size_t i = 0; i < sources.size(); ++i) {
-          EXPECT_EQ(batch[i].dist, dijkstra(g, sources[i]))
-              << name << " nw=" << nw;
-        }
+      const auto batch = engine.serve_batch(requests);
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        EXPECT_EQ(batch[i].dist, dijkstra(g, sources[i]))
+            << name << " nw=" << nw;
       }
     }
   }
 }
 
 TEST(QueryContext, BstContextReuseAcrossEnginesAndGraphSizes) {
-  // One context serves kBst (treap arena), kBstFlat, and kFlat queries
-  // interleaved, across graphs of different sizes, warm the whole time.
+  // One context serves kBst (treap arena) and kFlat queries interleaved,
+  // across graphs of different sizes, warm the whole time.
   QueryContext ctx;
+  const QueryRequest bst = test::full_request(1, QueryEngine::kBst);
+  const QueryRequest flat = test::full_request(1, QueryEngine::kFlat);
   for (const auto& [name, g] : test::weighted_suite(29)) {
     PreprocessOptions opts;
     opts.rho = 12;
     opts.k = 2;
     const SsspEngine engine(g, opts);
-    const auto ref = engine.query(1);
-    EXPECT_EQ(engine.query(1, QueryEngine::kBst, ctx).dist, ref.dist) << name;
-    EXPECT_EQ(engine.query(1, QueryEngine::kBstFlat, ctx).dist, ref.dist)
-        << name;
-    EXPECT_EQ(engine.query(1, QueryEngine::kFlat, ctx).dist, ref.dist)
-        << name;
+    const auto ref = engine.serve(flat);
+    EXPECT_EQ(engine.serve(bst, ctx).dist, ref.dist) << name;
+    EXPECT_EQ(engine.serve(flat, ctx).dist, ref.dist) << name;
     // Re-query through the used context, sequential mode.
     ctx.set_sequential(true);
-    const auto again = engine.query(1, QueryEngine::kBst, ctx);
+    const auto again = engine.serve(bst, ctx);
     EXPECT_EQ(again.dist, ref.dist) << name;
     EXPECT_EQ(again.stats.steps, ref.stats.steps) << name;
     ctx.set_sequential(false);
@@ -223,12 +232,12 @@ TEST(QueryBatch, EmptyBatchAndValidation) {
   PreprocessOptions opts;
   opts.rho = 6;
   const SsspEngine engine(g, opts);
-  EXPECT_TRUE(engine.query_batch({}).empty());
+  EXPECT_TRUE(engine.serve_batch({}).empty());
   // Bad sources throw up front, before any parallel work starts.
-  EXPECT_THROW(engine.query_batch({0, g.num_vertices()}),
+  EXPECT_THROW(engine.serve_batch(full_requests({0, g.num_vertices()})),
                std::invalid_argument);
   // The unweighted guard also fires for batches (weighted graph here).
-  EXPECT_THROW(engine.query_batch({0}, QueryEngine::kUnweighted),
+  EXPECT_THROW(engine.serve_batch(full_requests({0}, QueryEngine::kUnweighted)),
                std::invalid_argument);
 }
 
@@ -242,13 +251,14 @@ TEST(QueryContext, ReuseMatchesFreshContexts) {
 
   // Two queries through ONE warm context == two fresh-context queries.
   QueryContext ctx;
-  const auto warm_a = engine.query(0, QueryEngine::kFlat, ctx);
-  const auto warm_b =
-      engine.query(g.num_vertices() / 2, QueryEngine::kFlat, ctx);
-  EXPECT_EQ(warm_a.dist, engine.query(0).dist);
-  EXPECT_EQ(warm_b.dist, engine.query(g.num_vertices() / 2).dist);
+  const QueryRequest a = test::full_request(0);
+  const QueryRequest b = test::full_request(g.num_vertices() / 2);
+  const auto warm_a = engine.serve(a, ctx);
+  const auto warm_b = engine.serve(b, ctx);
+  EXPECT_EQ(warm_a.dist, engine.serve(a).dist);
+  EXPECT_EQ(warm_b.dist, engine.serve(b).dist);
   // Re-querying the first source through the used context still matches.
-  EXPECT_EQ(engine.query(0, QueryEngine::kFlat, ctx).dist, warm_a.dist);
+  EXPECT_EQ(engine.serve(a, ctx).dist, warm_a.dist);
 }
 
 TEST(QueryContext, ReuseAcrossGraphsOfDifferentSizes) {

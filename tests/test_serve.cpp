@@ -1,7 +1,7 @@
 // The serving API contract (core/request.hpp + SsspEngine::serve*):
 //
-//  * targeted serve returns distances BIT-IDENTICAL to a full query for
-//    every requested target — across all four engines, the weighted AND
+//  * targeted serve returns distances BIT-IDENTICAL to a full-distance
+//    serve for every requested target — across engines, the weighted AND
 //    adversarial suites, and several worker counts (early termination must
 //    be invisible in the answers);
 //  * early exit actually fires: on a path graph with a near target the
@@ -9,11 +9,11 @@
 //    RunStats);
 //  * serve_batch == per-request serve, in input order, for mixed requests;
 //  * expanded paths are genuine shortest paths of the ORIGINAL graph;
-//  * every entry point bounds-checks its inputs (the PR 5 bugfix:
-//    query(Vertex) historically validated only in query_batch);
-//  * responses carry provenance — graph_epoch stamping across replace(),
-//    which swaps answers to the new graph in place — and the kTopK /
-//    lower-bound request shapes are validated at the edge.
+//  * every entry point bounds-checks its inputs;
+//  * responses carry provenance — graph_epoch stamping across
+//    next_epoch() successors, while the prior snapshot keeps answering for
+//    the old graph — and the kTopK / lower-bound request shapes are
+//    validated at the edge.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -79,8 +79,7 @@ Dist path_weight(const Graph& g, const std::vector<Vertex>& path) {
   return total;
 }
 
-const QueryEngine kWeightedEngines[] = {
-    QueryEngine::kFlat, QueryEngine::kBst, QueryEngine::kBstFlat};
+const QueryEngine kWeightedEngines[] = {QueryEngine::kFlat, QueryEngine::kBst};
 
 TEST(Serve, TargetedMatchesFullQueryOnWeightedSuite) {
   WorkerGuard guard;
@@ -93,7 +92,7 @@ TEST(Serve, TargetedMatchesFullQueryOnWeightedSuite) {
     const std::vector<Vertex> targets = spread_targets(g, 6);
 
     for (const QueryEngine qe : kWeightedEngines) {
-      const QueryResult full = engine.query(source, qe);
+      const QueryResponse full = engine.serve(test::full_request(source, qe));
       QueryRequest req;
       req.source = source;
       req.targets = targets;
@@ -145,7 +144,8 @@ TEST(Serve, TargetedUnweightedEngineMatches) {
   for (const auto& [name, g] : test::unweighted_suite(17)) {
     const SsspEngine engine = raw_engine(g, 6);
     const std::vector<Vertex> targets = spread_targets(g, 6);
-    const QueryResult full = engine.query(0, QueryEngine::kUnweighted);
+    const QueryResponse full =
+        engine.serve(test::full_request(0, QueryEngine::kUnweighted));
     for (const int nw : {1, 3, 8}) {
       set_num_workers(nw);
       QueryRequest req;
@@ -173,7 +173,7 @@ TEST(Serve, EarlyExitStrictlyReducesRoundsOnPathGraph) {
   const SsspEngine engine(g, opts);
 
   for (const QueryEngine qe : kWeightedEngines) {
-    const QueryResult full = engine.query(0, qe);
+    const QueryResponse full = engine.serve(test::full_request(0, qe));
     ASSERT_GT(full.stats.steps, 3u) << "chain too easy to measure early exit";
     QueryRequest req;
     req.source = 0;
@@ -193,7 +193,8 @@ TEST(Serve, EarlyExitStrictlyReducesRoundsOnPathGraph) {
   // Same for the unweighted engine on the unit-weight chain.
   const Graph unit = gen::chain(400);
   const SsspEngine ue = raw_engine(unit, 4);
-  const QueryResult ufull = ue.query(0, QueryEngine::kUnweighted);
+  const QueryResponse ufull =
+      ue.serve(test::full_request(0, QueryEngine::kUnweighted));
   ASSERT_GT(ufull.stats.steps, 3u);
   QueryRequest ureq;
   ureq.source = 0;
@@ -210,7 +211,7 @@ TEST(Serve, WantFullDistancesDisablesEarlyExitAndFillsBoth) {
   PreprocessOptions opts;
   opts.rho = 8;
   const SsspEngine engine(g, opts);
-  const QueryResult full = engine.query(0);
+  const QueryResponse full = engine.serve(test::full_request(0));
 
   QueryRequest req;
   req.source = 0;
@@ -230,7 +231,12 @@ TEST(Serve, PathsMatchLegacyPathOnFullRuns) {
     opts.rho = 12;
     opts.k = 2;
     const SsspEngine engine(g, opts);
-    const QueryResult full = engine.query(0);
+    // The full-run path is the smallest-id closure walk over the final
+    // distances, so it must equal that walk over Dijkstra's distances on
+    // an independently built transpose.
+    const std::vector<Dist> truth = dijkstra(g, 0);
+    const auto truth_of = [&truth](Vertex v) { return truth[v]; };
+    const Graph transpose = g.transposed();
     QueryRequest req;
     req.source = 0;
     req.targets = spread_targets(g, 4);
@@ -238,20 +244,22 @@ TEST(Serve, PathsMatchLegacyPathOnFullRuns) {
     req.want_full_distances = true;  // exhaustive: closure sets identical
     const QueryResponse resp = engine.serve(req);
     for (const TargetResult& tr : resp.targets) {
-      EXPECT_EQ(tr.path, engine.path(full, tr.target)) << name;
+      std::vector<Vertex> walk;
+      extract_path_by_closure(transpose, tr.target, truth_of, walk);
+      EXPECT_EQ(tr.path, walk) << name;
     }
   }
 }
 
 TEST(Serve, ClosureWalkMatchesParentsFromDistancesOracle) {
-  // path() and serve(want_paths) now share extract_path_by_closure; pin
-  // both against the INDEPENDENT pre-PR5 reconstruction (full
-  // parents_from_distances pass + extract_path) so a tie-break divergence
-  // in the closure walk cannot slip by with both sides changing together.
-  // Directed graph: the transpose actually differs from the graph.
+  // serve(want_paths) expands paths with extract_path_by_closure; pin it
+  // against the INDEPENDENT reconstruction (full parents_from_distances
+  // pass + extract_path) so a tie-break divergence in the closure walk
+  // cannot slip by. Directed graph: the transpose actually differs from
+  // the graph.
   for (const auto& [name, g] : test::adversarial_suite(21)) {
     const SsspEngine engine = raw_engine(g);
-    const QueryResult full = engine.query(1);
+    const QueryResponse full = engine.serve(test::full_request(1));
     const std::vector<Vertex> parent =
         parents_from_distances(g, g.transposed(), full.dist);
     QueryRequest req;
@@ -265,7 +273,6 @@ TEST(Serve, ClosureWalkMatchesParentsFromDistancesOracle) {
                                              ? std::vector<Vertex>{}
                                              : extract_path(parent, tr.target);
       EXPECT_EQ(tr.path, oracle) << name << " target " << tr.target;
-      EXPECT_EQ(engine.path(full, tr.target), oracle) << name;
     }
   }
 }
@@ -319,9 +326,7 @@ TEST(Serve, BatchMatchesIndividualServesWithMixedRequests) {
     }
     req.want_paths = (i % 2 == 0);
     req.want_full_distances = (i % 3 == 0);
-    req.engine = (i % 4 == 1) ? QueryEngine::kBst
-                 : (i % 4 == 2) ? QueryEngine::kBstFlat
-                                : QueryEngine::kFlat;
+    req.engine = kWeightedEngines[(i / 2) % 2];
     requests.push_back(std::move(req));
   }
 
@@ -379,7 +384,8 @@ TEST(Serve, SourceTargetAndDuplicateEdgeCases) {
   EXPECT_TRUE(resp.targets.empty());
   EXPECT_TRUE(resp.dist.empty());
   EXPECT_FALSE(resp.stats.early_exit);
-  EXPECT_EQ(resp.stats.settled, engine.query(5).stats.settled);
+  EXPECT_EQ(resp.stats.settled,
+            engine.serve(test::full_request(5)).stats.settled);
 }
 
 TEST(Serve, UnreachableTargetIsInfiniteWithEmptyPath) {
@@ -424,7 +430,7 @@ TEST(Serve, WarmContextAndResponseReuseStaysExact) {
     req.source = s;
     req.targets = spread_targets(g, 1 + s % 5);
     req.want_paths = (s % 2 == 0);
-    req.engine = kWeightedEngines[s % 3];
+    req.engine = kWeightedEngines[(s / 2) % 2];
     engine.serve(req, ctx, resp);
     const QueryResponse fresh = engine.serve(req);
     ASSERT_EQ(resp.targets.size(), fresh.targets.size());
@@ -440,21 +446,22 @@ TEST(Serve, LegacyWrappersAgreeWithServe) {
   PreprocessOptions opts;
   opts.rho = 10;
   const SsspEngine engine(g, opts);
-  QueryRequest req;
-  req.source = 3;
-  req.want_full_distances = true;
+  // Fresh-state, warm-context and batch serves of a full-distance request
+  // must agree bit for bit.
+  const QueryRequest req = test::full_request(3);
   const QueryResponse resp = engine.serve(req);
-  const QueryResult q = engine.query(3);
-  EXPECT_EQ(q.dist, resp.dist);
-  EXPECT_EQ(q.stats.steps, resp.stats.steps);
-  const auto batch = engine.query_batch({3, 7});
+  QueryContext ctx;
+  const QueryResponse warm = engine.serve(req, ctx);
+  EXPECT_EQ(warm.dist, resp.dist);
+  EXPECT_EQ(warm.stats.steps, resp.stats.steps);
+  const auto batch = engine.serve_batch({req, test::full_request(7)});
   EXPECT_EQ(batch[0].dist, resp.dist);
+  EXPECT_EQ(batch[1].dist, engine.serve(test::full_request(7)).dist);
 }
 
 TEST(Serve, EveryEntryPointBoundsChecksItsInputs) {
-  // Regression for the PR 5 bugfix: query(Vertex) and the QueryContext
-  // overload historically did not validate `source` (only query_batch
-  // did); all entry points must reject out-of-range vertices up front.
+  // Every entry point — fresh state, warm context, reused response, and
+  // batch — must reject out-of-range vertices up front.
   const Graph g = assign_uniform_weights(gen::grid2d(6, 6), 1, 1, 9);
   PreprocessOptions opts;
   opts.rho = 6;
@@ -462,11 +469,16 @@ TEST(Serve, EveryEntryPointBoundsChecksItsInputs) {
   const Vertex n = g.num_vertices();
   QueryContext ctx;
 
-  EXPECT_THROW(engine.query(n), std::invalid_argument);
-  EXPECT_THROW(engine.query(kNoVertex), std::invalid_argument);
-  EXPECT_THROW(engine.query(n, QueryEngine::kBst, ctx),
+  const QueryRequest full_n = test::full_request(n);
+  QueryResponse reused;
+  EXPECT_THROW(engine.serve(full_n), std::invalid_argument);
+  EXPECT_THROW(engine.serve(test::full_request(kNoVertex)),
                std::invalid_argument);
-  EXPECT_THROW(engine.query_batch({0, n}), std::invalid_argument);
+  EXPECT_THROW(engine.serve(test::full_request(n, QueryEngine::kBst), ctx),
+               std::invalid_argument);
+  EXPECT_THROW(engine.serve(full_n, ctx, reused), std::invalid_argument);
+  EXPECT_THROW(engine.serve_batch({test::full_request(0), full_n}),
+               std::invalid_argument);
 
   QueryRequest bad_source;
   bad_source.source = n;
@@ -514,8 +526,7 @@ TEST(Serve, TouchedStatCountsFirstTouchesExactly) {
   targeted.source = 3;
   targeted.targets = {4};  // a near target: early exit leaves most untouched
 
-  for (const QueryEngine qe :
-       {QueryEngine::kFlat, QueryEngine::kBst, QueryEngine::kBstFlat}) {
+  for (const QueryEngine qe : kWeightedEngines) {
     for (const int nw : {1, 4}) {
       set_num_workers(nw);
       full.engine = qe;
@@ -555,11 +566,9 @@ TEST(Serve, TouchedResetRestoresContextInvariantAcrossRequests) {
     req.source = static_cast<Vertex>((i * 29) % n);
     req.targets = {static_cast<Vertex>((i * 13 + 1) % n),
                    static_cast<Vertex>((i * 41 + 7) % n)};
-    req.engine = (i % 3 == 0)   ? QueryEngine::kFlat
-                 : (i % 3 == 1) ? QueryEngine::kBst
-                                : QueryEngine::kBstFlat;
+    req.engine = kWeightedEngines[i % 2];
     engine.serve(req, ctx, resp);
-    const QueryResult ref = engine.query(req.source);
+    const QueryResponse ref = engine.serve(test::full_request(req.source));
     for (const TargetResult& tr : resp.targets) {
       ASSERT_EQ(tr.dist, ref.dist[tr.target]) << "request " << i;
     }
@@ -626,7 +635,7 @@ TEST(Serve, ResponsesAreEpochStampedAndReplaceBumps) {
   PreprocessOptions opts;
   opts.rho = 12;
   opts.k = 2;
-  SsspEngine engine(g1, opts);
+  const SsspEngine engine(g1, opts);
   ASSERT_EQ(engine.graph_epoch(), 1u);
 
   QueryRequest req;
@@ -637,22 +646,32 @@ TEST(Serve, ResponsesAreEpochStampedAndReplaceBumps) {
   EXPECT_FALSE(before.served_from_cache);  // the engine never serves rows
   EXPECT_EQ(before.lower_bound_exits, 0u);  // no bounds were attached
 
-  // replace(): same vertex set, different weights — the epoch bumps and
-  // answers flip to the new graph's distances in place.
+  // next_epoch(): same vertex set, different weights — the successor's
+  // epoch is one higher and it answers with the new graph's distances.
   const Graph g2 =
       assign_uniform_weights(gen::road_network(10, 10, 4), 9, 1, 100);
-  engine.replace(g2, preprocess(g2, opts));
-  EXPECT_EQ(engine.graph_epoch(), 2u);
+  const SsspEngine next =
+      SsspEngine::next_epoch(engine, g2, preprocess(g2, opts));
+  EXPECT_EQ(next.graph_epoch(), 2u);
 
-  const QueryResponse after = engine.serve(req);
+  const QueryResponse after = next.serve(req);
   EXPECT_EQ(after.graph_epoch, 2u);
   const std::vector<Dist> truth = dijkstra(g2, req.source);
   for (const TargetResult& tr : after.targets) {
     EXPECT_EQ(tr.dist, truth[tr.target]);
   }
 
+  // The prior snapshot is untouched: still epoch 1, still the old graph.
+  EXPECT_EQ(engine.graph_epoch(), 1u);
+  const QueryResponse old = engine.serve(req);
+  EXPECT_EQ(old.graph_epoch, 1u);
+  const std::vector<Dist> old_truth = dijkstra(g1, req.source);
+  for (const TargetResult& tr : old.targets) {
+    EXPECT_EQ(tr.dist, old_truth[tr.target]);
+  }
+
   // Copies serve the same preprocessing, so they keep the epoch.
-  const SsspEngine copy(engine);
+  const SsspEngine copy(next);
   EXPECT_EQ(copy.graph_epoch(), 2u);
 }
 

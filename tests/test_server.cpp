@@ -1,5 +1,5 @@
 // The serving-daemon contract (serve/server.hpp + serve/request_queue.hpp
-// + serve/latency_histogram.hpp):
+// + obs/histogram.hpp):
 //
 //  * lifecycle — start, drain with requests in flight, shutdown; counters
 //    (accepted vs completed) reach equality and every promise is
@@ -18,8 +18,7 @@
 //  * caching layer — repeats of a cache-eligible request are answered at
 //    submit time from the result cache, a parked burst of identical
 //    misses resolves to ONE owner plus single-flight waiters, and
-//    on_graph_replaced() re-keys cache and oracle after an engine
-//    replace().
+//    swap_engine() re-keys cache and oracle for a next_epoch() successor.
 //
 // The pause/resume hook makes the queue-full and coalescing scenarios
 // deterministic: with batchers parked, submissions buffer instead of
@@ -41,7 +40,7 @@
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
-#include "serve/latency_histogram.hpp"
+#include "obs/histogram.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
 #include "shortcut/shortcut.hpp"
@@ -50,7 +49,6 @@ namespace rs {
 namespace {
 
 using serve::BoundedQueue;
-using serve::LatencyHistogram;
 using serve::ServerOptions;
 using serve::ServerStats;
 using serve::SsspServer;
@@ -398,11 +396,11 @@ TEST(Server, OnGraphReplacedRefreshesCacheAndOracle) {
   PreprocessOptions popts;
   popts.rho = 12;
   popts.k = 2;
-  SsspEngine engine(g1, popts);
+  const SsspEngine engine(g1, popts);
   ServerOptions opts;
   opts.enable_cache = true;
   opts.enable_landmarks = true;
-  SsspServer server(engine, opts);
+  SsspServer server(engine, opts);  // non-owning: the caller keeps engine
   ASSERT_NE(server.oracle(), nullptr);
   EXPECT_EQ(server.oracle()->graph_epoch(), 1u);
 
@@ -410,14 +408,15 @@ TEST(Server, OnGraphReplacedRefreshesCacheAndOracle) {
   (void)server.serve_sync(req);
   EXPECT_TRUE(server.serve_sync(req).served_from_cache);
 
-  // Quiesce, swap the graph, notify the caching layer — the documented
-  // replace choreography (engine replace() is not serve-concurrent).
+  // A server built over a borrowed engine takes an owned successor at a
+  // quiescent point (paused and drained) just as it does mid-traffic.
   const Graph g2 =
       assign_uniform_weights(gen::road_network(12, 12, 3), 8, 1, 100);
+  auto next = std::make_shared<const SsspEngine>(
+      SsspEngine::next_epoch(engine, g2, preprocess(g2, popts)));
   server.pause();
   server.drain();
-  engine.replace(g2, preprocess(g2, popts));
-  server.on_graph_replaced();
+  server.swap_engine(next);
   server.resume();
   EXPECT_EQ(server.oracle()->graph_epoch(), 2u);
 
@@ -426,8 +425,10 @@ TEST(Server, OnGraphReplacedRefreshesCacheAndOracle) {
   const QueryResponse after = server.serve_sync(req);
   EXPECT_FALSE(after.served_from_cache);
   EXPECT_EQ(after.graph_epoch, 2u);
-  EXPECT_EQ(after.targets[0].dist, engine.serve(req).targets[0].dist);
+  EXPECT_EQ(after.targets[0].dist, next->serve(req).targets[0].dist);
   EXPECT_TRUE(server.serve_sync(req).served_from_cache);
+  // The borrowed engine is untouched and still answers for the old graph.
+  EXPECT_EQ(engine.serve(req).graph_epoch, 1u);
 }
 
 TEST(Server, FormatStatsLinePrintsEveryCounter) {
@@ -526,9 +527,9 @@ TEST(LatencyHistogram, BucketRoundTripBoundsRelativeError) {
   }
   values.push_back(std::numeric_limits<std::uint64_t>::max());
   for (const std::uint64_t v : values) {
-    const std::size_t idx = LatencyHistogram::bucket_index(v);
-    ASSERT_LT(idx, LatencyHistogram::kBuckets) << v;
-    const std::uint64_t upper = LatencyHistogram::bucket_upper(idx);
+    const std::size_t idx = obs::Histogram::bucket_index(v);
+    ASSERT_LT(idx, obs::Histogram::kBuckets) << v;
+    const std::uint64_t upper = obs::Histogram::bucket_upper(idx);
     EXPECT_GE(upper, v);
     EXPECT_LE(static_cast<double>(upper - v),
               static_cast<double>(v) / 32.0 + 1.0)
@@ -539,7 +540,7 @@ TEST(LatencyHistogram, BucketRoundTripBoundsRelativeError) {
 TEST(LatencyHistogram, QuantilesMatchSortedSampleOracle) {
   // Record a deterministic skewed sample, then compare every quantile
   // against the exact order statistic from the sorted samples.
-  LatencyHistogram hist;
+  obs::Histogram hist;
   std::vector<std::uint64_t> samples;
   std::uint64_t x = 88172645463325252ull;
   for (int i = 0; i < 5000; ++i) {
@@ -571,13 +572,13 @@ TEST(LatencyHistogram, QuantilesMatchSortedSampleOracle) {
 }
 
 TEST(LatencyHistogram, EmptyAndResetReportZero) {
-  LatencyHistogram hist;
+  obs::Histogram hist;
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.value_at_quantile(0.99), 0u);
   hist.record(123);
-  EXPECT_EQ(hist.value_at_quantile(0.5), LatencyHistogram::bucket_upper(
-                                             LatencyHistogram::bucket_index(
-                                                 123)));
+  const std::uint64_t bucket =
+      obs::Histogram::bucket_upper(obs::Histogram::bucket_index(123));
+  EXPECT_EQ(hist.value_at_quantile(0.5), bucket);
   hist.reset();
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.value_at_quantile(0.5), 0u);

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/request.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -128,6 +129,17 @@ inline std::vector<GraphCase> adversarial_suite(std::uint64_t seed = 1) {
   }
 
   return out;
+}
+
+/// A full-distance request: serve() answers it with the complete SSSP run
+/// from `source` (QueryResponse::dist) on `engine`.
+inline QueryRequest full_request(Vertex source,
+                                 QueryEngine engine = QueryEngine::kFlat) {
+  QueryRequest req;
+  req.source = source;
+  req.want_full_distances = true;
+  req.engine = engine;
+  return req;
 }
 
 /// Same shapes with unit weights.
