@@ -49,7 +49,9 @@
 // `update`/`flush` answer "ok epoch=E updated=A dirty=D/T ms=X"; `stage`
 // answers "staged epoch=E updated=A pending=N". Any malformed or
 // rejected line gets `error: <reason>` (bad ids and out-of-range vertices
-// are rejected by admission control without touching the engine). EOF (or
+// are rejected by admission control without touching the engine). A line
+// longer than 1 MiB gets one `error: line too long`; over TCP the
+// connection is then closed. EOF (or
 // SIGINT/SIGTERM for TCP) drains in-flight requests and prints the
 // serving stats before exiting; on a signal, connected clients that are
 // idle are disconnected rather than waited for. An unknown --engine name
@@ -62,6 +64,7 @@
 // non-zero on any mismatch — which is exactly what the CTest smoke run
 // executes.
 #include <arpa/inet.h>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -313,6 +316,87 @@ std::string answer_line(SsspServer& server, rs::serve::DynamicSsspService* dyn,
   return format_targets(fut.get(), topk);
 }
 
+/// Longest request line either front-end accepts, in bytes before its
+/// newline. It also caps each connection's buffer: a line that outgrows it
+/// is answered with kLineTooLong instead of being buffered further.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+const std::string kLineTooLong = "error: line too long";
+
+/// Splits the byte stream of `fd` into protocol lines (stdin and TCP
+/// alike). A line longer than kMaxLineBytes is reported once as kTooLong
+/// and the rest of it, up to its newline, is skipped; the buffer never
+/// holds more than kMaxLineBytes plus one read.
+class LineReader {
+ public:
+  enum class Status { kLine, kTooLong, kEnd };
+
+  explicit LineReader(int fd) : fd_(fd) {}
+
+  /// Next line without its "\n" or "\r\n"; a final unterminated line is
+  /// returned at end of stream.
+  Status next(std::string& line) {
+    for (;;) {
+      const std::size_t nl = buf_.find('\n', scanned_);
+      if (nl != std::string::npos) {
+        const bool skipped = skipping_;
+        skipping_ = false;
+        if (!skipped) line.assign(buf_, 0, nl);
+        buf_.erase(0, nl + 1);
+        scanned_ = 0;
+        if (skipped) continue;  // the tail of a line already reported
+        return finish(line);
+      }
+      scanned_ = buf_.size();
+      if (buf_.size() > kMaxLineBytes) {
+        buf_.clear();
+        scanned_ = 0;
+        if (!skipping_) {
+          skipping_ = true;
+          return Status::kTooLong;
+        }
+      }
+      char chunk[4096];
+      const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) {
+        if (buf_.empty() || skipping_) return Status::kEnd;
+        line.swap(buf_);
+        buf_.clear();
+        scanned_ = 0;
+        return finish(line);
+      }
+      buf_.append(chunk, static_cast<std::size_t>(got));
+    }
+  }
+
+ private:
+  static Status finish(std::string& line) {
+    if (line.size() > kMaxLineBytes) return Status::kTooLong;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    return Status::kLine;
+  }
+
+  int fd_;
+  std::string buf_;
+  std::size_t scanned_ = 0;  // bytes of buf_ known to hold no newline
+  bool skipping_ = false;    // inside a line already reported too long
+};
+
+/// Writes all of `data` to socket `fd`, resuming after short writes and
+/// EINTR. MSG_NOSIGNAL turns a peer that already closed into an error
+/// return instead of a SIGPIPE that would stop the daemon.
+bool write_all(int fd, const std::string& data) {
+  std::size_t done = 0;
+  while (done < data.size()) {
+    const ssize_t put =
+        ::send(fd, data.data() + done, data.size() - done, MSG_NOSIGNAL);
+    if (put < 0 && errno == EINTR) continue;
+    if (put <= 0) return false;
+    done += static_cast<std::size_t>(put);
+  }
+  return true;
+}
+
 /// Shutdown print: the SAME registry-backed line the `stats` verb answers
 /// with, so the two can never drift apart.
 void print_stats(const SsspServer& server) {
@@ -372,21 +456,18 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
     }
     // By reference: everything captured outlives the joined threads.
     conns.emplace_back([&, client] {
-      std::string buf;
-      char chunk[4096];
-      ssize_t got;
-      while ((got = ::read(client, chunk, sizeof(chunk))) > 0) {
-        buf.append(chunk, static_cast<std::size_t>(got));
-        std::size_t nl;
-        while ((nl = buf.find('\n')) != std::string::npos) {
-          std::string line = buf.substr(0, nl);
-          if (!line.empty() && line.back() == '\r') line.pop_back();
-          buf.erase(0, nl + 1);
-          if (line.empty()) continue;
-          const std::string reply =
-              answer_line(server, dyn, line, engine) + "\n";
-          if (::write(client, reply.data(), reply.size()) < 0) break;
-        }
+      LineReader reader(client);
+      std::string line;
+      for (;;) {
+        const LineReader::Status st = reader.next(line);
+        if (st == LineReader::Status::kEnd) break;
+        if (st == LineReader::Status::kLine && line.empty()) continue;
+        const bool too_long = st == LineReader::Status::kTooLong;
+        const std::string reply =
+            (too_long ? kLineTooLong : answer_line(server, dyn, line, engine)) +
+            "\n";
+        // An over-long line closes the connection: its buffer stays capped.
+        if (!write_all(client, reply) || too_long) break;
       }
       {
         const std::lock_guard<std::mutex> lock(clients_mutex);
@@ -407,15 +488,16 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
 /// Stdin front-end: one request line in, one response line out.
 int stdio_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
                 QueryEngine engine) {
+  LineReader reader(STDIN_FILENO);
   std::string line;
-  char chunk[4096];
-  while (std::fgets(chunk, sizeof(chunk), stdin) != nullptr) {
-    line = chunk;
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
-    }
-    if (line.empty()) continue;
-    std::printf("%s\n", answer_line(server, dyn, line, engine).c_str());
+  for (;;) {
+    const LineReader::Status st = reader.next(line);
+    if (st == LineReader::Status::kEnd) break;
+    if (st == LineReader::Status::kLine && line.empty()) continue;
+    const std::string reply = st == LineReader::Status::kTooLong
+                                  ? kLineTooLong
+                                  : answer_line(server, dyn, line, engine);
+    std::printf("%s\n", reply.c_str());
     std::fflush(stdout);
   }
   return 0;

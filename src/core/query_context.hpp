@@ -178,9 +178,6 @@ class QueryContext {
   /// Ensures `workers` touch buckets exist and are empty. Engines call
   /// this once per run, before any recording.
   std::vector<std::vector<Vertex>>& touch_buckets(int workers);
-  /// Records the inf -> finite transition of `v` from worker `w` (must
-  /// only be called by worker `w`; bucket 0 in sequential sections).
-  void note_touched(Vertex v, int w = 0) { touched_[std::size_t(w)].push_back(v); }
   /// Vertices recorded since the buckets were prepared (== finite entries
   /// in the distance array after an engine run).
   std::size_t touched_count() const;

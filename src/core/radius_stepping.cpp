@@ -2,357 +2,204 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <stdexcept>
 
-#include <omp.h>
-
+#include "core/step_loop.hpp"
 #include "parallel/primitives.hpp"
-#include "parallel/write_min.hpp"
 
 namespace rs {
 
 namespace {
 
-/// Algorithm 1 over a QueryContext. `Par` selects the substrate: parallel
-/// edge-maps with atomic WriteMin, or the strictly sequential twin the
-/// batch scheduler runs one-per-worker (plain loads/stores, no CAS, no
-/// OpenMP regions — it must be nestable inside an outer parallel region).
-/// Both produce identical distances and an identical step sequence: by the
-/// end of a step every vertex settled in it has relaxed its out-arcs with
-/// its final value, so step-boundary distances — and with them the
-/// frontier, d_i, steps, and settled counts — are schedule-independent.
-/// Substep counts are NOT: relaxations read neighbor distances live
-/// (chaotic relaxation), so how fast a step converges internally depends
-/// on processing order. Only Theorem 3.2's k+2 upper bound is invariant.
-///
-/// Targeted early termination: when ctx.has_targets(), the run stops at
-/// the first STEP boundary with every stamped target settled. Vertices
-/// marked settled mid-step can still improve while the annulus converges,
-/// so the check only ever fires between steps, where Theorem 3.1 makes
-/// every settled distance final — the exit is exact.
+/// Algorithm 1's parts over a QueryContext (the loop is detail::run_steps).
+/// `Par` selects the substrate: parallel edge-maps with atomic WriteMin, or
+/// the strictly sequential twin the batch scheduler runs one-per-worker
+/// (plain loads/stores, no CAS, no OpenMP regions — it must be nestable
+/// inside an outer parallel region). Both produce identical distances and
+/// an identical step sequence: by the end of a step every vertex settled in
+/// it has relaxed its out-arcs with its final value, so step-boundary
+/// distances — and with them the frontier, d_i, steps, and settled counts —
+/// are schedule-independent. Substep counts are NOT: relaxations read
+/// neighbor distances live (chaotic relaxation), so how fast a step
+/// converges internally depends on processing order. Only Theorem 3.2's
+/// k+2 upper bound is invariant.
 template <bool Par>
-void radius_stepping_run(const Graph& g, Vertex source,
-                         const std::vector<Dist>& radius, QueryContext& ctx,
-                         RunStats& local) {
-  std::atomic<Dist>* dist = ctx.dist();
-  const auto load = [&](Vertex v) {
-    return dist[v].load(std::memory_order_relaxed);
-  };
-  // Sequential relaxation: same contract as write_min without the RMW.
-  const auto relax_seq = [&](Vertex v, Dist nd) {
-    if (nd >= dist[v].load(std::memory_order_relaxed)) return false;
-    dist[v].store(nd, std::memory_order_relaxed);
-    return true;
-  };
-  const bool targeted = ctx.has_targets();
-  const bool bounds = targeted && ctx.has_target_bounds();
-  const std::size_t k_goal = ctx.k_goal();
-  // All settle sites run in sequential sections (both twins), so the
-  // target bookkeeping needs no atomics.
-  const auto settle = [&](Vertex v) {
-    ctx.mark_settled(v);
-    if (targeted) ctx.note_target_settled(v);
-  };
-  // Exactness of both exits holds only at STEP boundaries (Theorem 3.1):
-  // targets all settled (by distance order or by lower-bound proof), or —
-  // for kTopK — at least k vertices settled, which makes the k smallest
-  // settled (dist, vertex) pairs exactly the k nearest.
-  const auto goals_met = [&](std::size_t settled_count) {
-    if (targeted && ctx.targets_remaining() == 0) return true;
-    return k_goal != 0 && settled_count >= k_goal;
-  };
+class FlatStep : public detail::QueryState<Graph> {
+ public:
+  static constexpr const char* kName = "radius_stepping";
+  static constexpr std::uint64_t RunStats::*kPartitionNs =
+      &RunStats::partition_ns;
 
-  // Traced requests take two clock readings per substep (relax end is
-  // partition start, so the phases tile the substep); untraced runs take
-  // none — the disabled path costs one predictable branch per substep.
-  using TraceClock = std::chrono::steady_clock;
-  const bool timed = ctx.trace_phases();
-  const auto phase_ns = [](TraceClock::time_point a, TraceClock::time_point b) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-  };
+  explicit FlatStep(const detail::QueryState<Graph>& state)
+      : QueryState(state),
+        nw_(Par ? num_workers() : 1),
+        touch_(ctx.touch_buckets(nw_)),
+        buckets_(ctx.buckets(nw_)),
+        frontier_(ctx.frontier()),
+        next_(ctx.next()),
+        active_(ctx.active()),
+        updated_(ctx.updated()),
+        newly_frontier_(ctx.scratch()) {}
 
-  // First-touch records feeding the O(touched) reset epilogue: sequential
-  // sections push into bucket 0 after observing the old distance was
-  // kInfDist; the parallel substep uses the pre-CAS value write_min
-  // reports, whose kInfDist observation has exactly one winner.
-  const int nw = Par ? num_workers() : 1;
-  std::vector<std::vector<Vertex>>& touch = ctx.touch_buckets(nw);
+  void run(Vertex source) { detail::run_steps(*this, source); }
 
-  dist[source].store(0, std::memory_order_relaxed);
-  touch[0].push_back(source);
-  settle(source);
-  local.settled = 1;
-
-  // Frontier: unsettled vertices with finite tentative distance. Seeded by
-  // relaxing the source (Line 2 of Algorithm 1). Membership is deduplicated
-  // with mark stamps under one epoch for the whole query: a vertex only
-  // ever leaves the frontier by settling, which is final (Theorem 3.1), so
-  // "has ever been a frontier candidate" is exactly "must not re-enter".
-  // The frontier is a set; no order matters to the step sequence, so it is
-  // never sorted.
-  std::vector<Vertex>& frontier = ctx.frontier();
-  frontier.clear();
-  ctx.next_mark_epoch();
-  for (EdgeId e = g.first_arc(source); e < g.last_arc(source); ++e) {
-    const Vertex v = g.arc_target(e);
-    if (v == source) continue;
-    const auto w = static_cast<Dist>(g.arc_weight(e));
-    // The seed loop runs single-threaded in both twins, so the pre-relax
-    // load is an exact first-touch observation.
-    const Dist dv = load(v);
-    const bool lowered = Par ? write_min(dist[v], w) : relax_seq(v, w);
-    if (lowered) {
-      ++local.relaxations;
-      if (dv == kInfDist) touch[0].push_back(v);
-      if (bounds) ctx.note_bound_check(v, w);
+  // Line 2: the source settles at 0 and relaxes its out-arcs. The seed is
+  // single-threaded in both twins, so the pre-relax load is an exact
+  // first-touch observation. Frontier membership is deduplicated with mark
+  // stamps under one epoch for the whole query: a vertex only ever leaves
+  // the frontier by settling, which is final (Theorem 3.1), so "has ever
+  // been a frontier candidate" is exactly "must not re-enter". The
+  // frontier is a set; it is never sorted.
+  void seed(Vertex source) {
+    store(source, 0);
+    touch_[0].push_back(source);
+    goal.settle(source);
+    frontier_.clear();
+    newly_frontier_.clear();
+    ctx.next_mark_epoch();
+    for (EdgeId e = g.first_arc(source); e < g.last_arc(source); ++e) {
+      const Vertex v = g.arc_target(e);
+      if (v == source) continue;
+      const auto w = static_cast<Dist>(g.arc_weight(e));
+      const Dist dv = load(v);
+      if (w < dv) {
+        store(v, w);
+        ++stats.relaxations;
+        if (dv == kInfDist) touch_[0].push_back(v);
+        goal.check_bound(v, w);
+      }
+      if (!ctx.is_settled(v) && ctx.mark(v)) newly_frontier_.push_back(v);
     }
-    if (!ctx.is_settled(v) && ctx.mark(v)) frontier.push_back(v);
-  }
-  // Min over the CURRENT frontier of delta(v) + r(v), maintained across
-  // steps: distances cannot change between a rebuild and the next step's
-  // Line 4, so the sequential path folds the min into the rebuild pass.
-  Dist pending_di = kInfDist;
-  if constexpr (!Par) {
-    for (const Vertex v : frontier) {
-      pending_di = std::min(pending_di, load(v) + radius[v]);
-    }
+    rebuild();
   }
 
-  std::vector<std::vector<Vertex>>& buckets = ctx.buckets(nw);
-  std::vector<Vertex>& active = ctx.active();
-  std::vector<Vertex>& updated = ctx.updated();
-  std::vector<Vertex>& newly_frontier = ctx.scratch();
-  std::vector<Vertex>& next = ctx.next();
+  bool frontier_empty() const { return frontier_.empty(); }
 
-  // Round distance of the previous step (d_{i-1}). Vertices with
-  // delta <= prev_di are exactly S_{i-1} (Theorem 3.1): final, safe to skip
-  // as relaxation targets. d_0 = 0 covers the source.
-  Dist prev_di = 0;
-
-  // The entry check covers requests whose targets are already settled
-  // (source-only target sets); the per-step check is at the bottom.
-  while (!frontier.empty()) {
-    if (goals_met(local.settled)) {
-      local.early_exit = true;
-      break;
-    }
-    ++local.steps;
-
-    // Line 4: d_i = min over the frontier of delta(v) + r(v).
-    Dist di;
-    if constexpr (Par) {
-      di = parallel_min(std::size_t{0}, frontier.size(), kInfDist,
-                        [&](std::size_t i) {
-                          const Vertex v = frontier[i];
-                          return load(v) + radius[v];
-                        });
-    } else {
-      di = pending_di;
-    }
-
-    // First substep's active set: every unsettled vertex with delta <= d_i.
-    // Vertices inside d_i are settled the moment they appear; mark now so
-    // relaxations skip them as targets-for-activation bookkeeping.
-    active.clear();
-    for (const Vertex v : frontier) {
+  // Line 4's d_i was folded by the last rebuild. The first substep's
+  // active set is every frontier vertex inside d_i, settled on sight.
+  Dist open_step() {
+    const Dist di = pending_di_;
+    active_.clear();
+    newly_frontier_.clear();
+    for (const Vertex v : frontier_) {
       if (load(v) <= di) {
-        active.push_back(v);
-        settle(v);
+        active_.push_back(v);
+        goal.settle(v);
       }
     }
-    local.settled += active.size();
-    local.max_active = std::max(local.max_active, active.size());
+    return di;
+  }
 
-    // Lines 5-9: Bellman-Ford substeps until no delta(v) <= d_i changes.
-    std::size_t substeps_this_step = 0;
-    std::size_t relaxed_this_step = 0;
-    newly_frontier.clear();
-    while (!active.empty()) {
-      ++substeps_this_step;
-      // One claim epoch per substep: each updated vertex is collected once
-      // no matter how many relaxations hit it.
-      ctx.next_claim_epoch();
-      const auto t_relax = timed ? TraceClock::now() : TraceClock::time_point{};
-      if constexpr (Par) {
-        std::atomic<std::size_t> relax_count{0};
-#pragma omp parallel num_threads(nw)
-        {
-          std::size_t my_relax = 0;
-          const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-          auto& mine = buckets[tid];
-          auto& my_touch = touch[tid];
-#pragma omp for schedule(dynamic, 64)
-          for (std::int64_t i = 0;
-               i < static_cast<std::int64_t>(active.size()); ++i) {
-            const Vertex u = active[static_cast<std::size_t>(i)];
-            const Dist du = load(u);
-            for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
-              const Vertex v = g.arc_target(e);
-              // Line 7 relaxes targets outside S_{i-1} only; vertices
-              // settled in *this* step may still improve while the annulus
-              // converges, so they stay relaxable.
-              if (load(v) <= prev_di) continue;
-              Dist before = kInfDist;
-              if (write_min(dist[v], du + g.arc_weight(e), before)) {
-                ++my_relax;
-                if (before == kInfDist) my_touch.push_back(v);
-                if (ctx.claim(v)) mine.push_back(v);
-              }
-            }
-          }
-          relax_count.fetch_add(my_relax, std::memory_order_relaxed);
-        }
-        relaxed_this_step += relax_count.load(std::memory_order_relaxed);
-      } else {
-        auto& mine = buckets[0];
-        for (const Vertex u : active) {
+  std::size_t active_size() const { return active_.size(); }
+
+  // Lines 5-7: relax the out-arcs of the active set. One claim epoch per
+  // substep collects each updated vertex once however many relaxations
+  // hit it; first-touch records use the replaced value the store reports.
+  void relax(Dist prev_di) {
+    ctx.next_claim_epoch();
+    stats.relaxations += detail::sum_over<Par>(
+        active_.size(), nw_, [&](std::size_t i, int w) {
+          auto& mine = buckets_[static_cast<std::size_t>(w)];
+          auto& my_touch = touch_[static_cast<std::size_t>(w)];
+          const Vertex u = active_[i];
           const Dist du = load(u);
+          std::size_t relaxed = 0;
           for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
             const Vertex v = g.arc_target(e);
-            // Single load serves both the S_{i-1} skip and the relax test.
-            const Dist dv = load(v);
-            if (dv <= prev_di) continue;
+            // Line 7 relaxes targets outside S_{i-1} only; vertices settled
+            // in *this* step may still improve while the annulus
+            // converges, so they stay relaxable.
+            Dist before = load(v);
+            if (before <= prev_di) continue;
             const Dist nd = du + g.arc_weight(e);
-            if (nd < dv) {
-              if (dv == kInfDist) touch[0].push_back(v);
-              dist[v].store(nd, std::memory_order_relaxed);
-              ++relaxed_this_step;
-              if (ctx.claim_sequential(v)) mine.push_back(v);
+            if (nd >= before || !detail::lower<Par>(dist[v], nd, before)) {
+              continue;
             }
+            ++relaxed;
+            if (before == kInfDist) my_touch.push_back(v);
+            if (detail::claim<Par>(ctx, v)) mine.push_back(v);
           }
-        }
-      }
-
-      const auto t_drain = timed ? TraceClock::now() : TraceClock::time_point{};
-      if (timed) local.relax_ns += phase_ns(t_relax, t_drain);
-
-      // Drain this substep's updated vertices, then partition: inside d_i
-      // -> active for the next substep (and settled); beyond d_i ->
-      // frontier candidates. Sequential mode partitions straight out of the
-      // single bucket; parallel mode concatenates the worker buckets first.
-      if constexpr (Par) {
-        updated.clear();
-        for (int t = 0; t < nw; ++t) {
-          auto& b = buckets[static_cast<std::size_t>(t)];
-          updated.insert(updated.end(), b.begin(), b.end());
-          b.clear();
-        }
-      } else {
-        updated.swap(buckets[0]);
-        buckets[0].clear();
-      }
-      active.clear();
-      for (const Vertex v : updated) {
-        const Dist dv = load(v);
-        // Lower-bound proof site (sequential partition pass, both twins):
-        // a pending target whose tentative distance reached its admissible
-        // floor is provably final even though it lies beyond d_i.
-        if (bounds) ctx.note_bound_check(v, dv);
-        if (dv <= di) {
-          active.push_back(v);
-          if (!ctx.is_settled(v)) {
-            settle(v);
-            ++local.settled;
-          }
-        } else if (!ctx.is_settled(v) && ctx.mark(v)) {
-          newly_frontier.push_back(v);
-        }
-      }
-      local.max_active = std::max(local.max_active, active.size());
-      if (timed) local.partition_ns += phase_ns(t_drain, TraceClock::now());
-    }
-    // Loop iterations equal Algorithm 1's repeat-until iterations: the
-    // final iteration relaxes the last-updated vertices and observes no
-    // further update with delta <= d_i (the Line 9 exit), so no extra
-    // "observation" substep is added.
-    local.substeps += substeps_this_step;
-    local.max_substeps_in_step =
-        std::max(local.max_substeps_in_step, substeps_this_step);
-    local.relaxations += relaxed_this_step;
-
-    // Step boundary: every settled vertex is now final (Theorem 3.1), so a
-    // run that has met its goal — all targets settled, or k vertices for a
-    // top-k request — is done; skip the frontier rebuild entirely.
-    if (goals_met(local.settled)) {
-      local.early_exit = true;
-      break;
-    }
-
-    // Rebuild the frontier: drop settled vertices, add the new arrivals.
-    // Every member was marked on first insertion, so the two lists are
-    // disjoint and individually duplicate-free. The sequential path
-    // computes the next step's d_i in the same pass.
-    next.clear();
-    if constexpr (Par) {
-      for (const Vertex v : frontier) {
-        if (!ctx.is_settled(v)) next.push_back(v);
-      }
-      for (const Vertex v : newly_frontier) {
-        if (!ctx.is_settled(v)) next.push_back(v);
-      }
-    } else {
-      pending_di = kInfDist;
-      for (const Vertex v : frontier) {
-        if (!ctx.is_settled(v)) {
-          next.push_back(v);
-          pending_di = std::min(pending_di, load(v) + radius[v]);
-        }
-      }
-      for (const Vertex v : newly_frontier) {
-        if (!ctx.is_settled(v)) {
-          next.push_back(v);
-          pending_di = std::min(pending_di, load(v) + radius[v]);
-        }
-      }
-    }
-    frontier.swap(next);
-    prev_di = di;
+          return relaxed;
+        });
   }
-}
+
+  // Lines 8-9: drain this substep's updated vertices and split them:
+  // inside d_i -> next substep's active set (and settled); beyond d_i ->
+  // frontier candidates.
+  void partition(Dist di) {
+    if (nw_ == 1) {
+      updated_.swap(buckets_[0]);
+      buckets_[0].clear();
+    } else {
+      updated_.clear();
+      for (int t = 0; t < nw_; ++t) {
+        auto& b = buckets_[static_cast<std::size_t>(t)];
+        updated_.insert(updated_.end(), b.begin(), b.end());
+        b.clear();
+      }
+    }
+    active_.clear();
+    for (const Vertex v : updated_) {
+      const Dist dv = load(v);
+      goal.check_bound(v, dv);
+      if (dv <= di) {
+        active_.push_back(v);
+        if (!ctx.is_settled(v)) goal.settle(v);
+      } else if (!ctx.is_settled(v) && ctx.mark(v)) {
+        newly_frontier_.push_back(v);
+      }
+    }
+  }
+
+  // Next frontier: the unsettled survivors plus the step's new arrivals
+  // (disjoint and duplicate-free by the mark discipline), with the next
+  // d_i = min delta(v) + r(v) folded into the same pass.
+  void rebuild() {
+    next_.clear();
+    pending_di_ = kInfDist;
+    keep_unsettled(frontier_);
+    keep_unsettled(newly_frontier_);
+    frontier_.swap(next_);
+  }
+
+ private:
+  void keep_unsettled(const std::vector<Vertex>& from) {
+    for (const Vertex v : from) {
+      if (!ctx.is_settled(v)) {
+        next_.push_back(v);
+        pending_di_ = std::min(pending_di_, load(v) + radius[v]);
+      }
+    }
+  }
+
+  const int nw_;
+  std::vector<std::vector<Vertex>>& touch_;
+  std::vector<std::vector<Vertex>>& buckets_;
+  std::vector<Vertex>& frontier_;
+  std::vector<Vertex>& next_;
+  std::vector<Vertex>& active_;
+  std::vector<Vertex>& updated_;
+  std::vector<Vertex>& newly_frontier_;
+  Dist pending_di_ = kInfDist;
+};
 
 }  // namespace
 
 void radius_stepping_partial(const Graph& g, Vertex source,
                              const std::vector<Dist>& radius,
                              QueryContext& ctx, RunStats* stats) {
-  const Vertex n = g.num_vertices();
-  if (radius.size() != n) {
-    throw std::invalid_argument("radius_stepping: radius size mismatch");
-  }
-  if (source >= n) {
-    throw std::invalid_argument("radius_stepping: bad source");
-  }
-
-  ctx.begin_query(n);
-  RunStats local;
-  if (ctx.sequential()) {
-    radius_stepping_run<false>(g, source, radius, ctx, local);
-  } else {
-    radius_stepping_run<true>(g, source, radius, ctx, local);
-  }
-  local.touched = ctx.touched_count();
-  if (stats != nullptr) *stats = local;
+  detail::run_partial<FlatStep>(g, source, radius, ctx, stats);
 }
 
 void radius_stepping(const Graph& g, Vertex source,
                      const std::vector<Dist>& radius, QueryContext& ctx,
                      std::vector<Dist>& out, RunStats* stats) {
-  // A full distance vector must come from an exhaustive run: stale target
-  // stamps on a reused context must never truncate it.
-  ctx.clear_targets();
-  radius_stepping_partial(g, source, radius, ctx, stats);
-  ctx.finish_query(g.num_vertices(), out);
+  detail::run_full<FlatStep>(g, source, radius, ctx, out, stats);
 }
 
 std::vector<Dist> radius_stepping(const Graph& g, Vertex source,
                                   const std::vector<Dist>& radius,
                                   RunStats* stats) {
-  QueryContext ctx(g.num_vertices());
-  std::vector<Dist> out;
-  radius_stepping(g, source, radius, ctx, out, stats);
-  return out;
+  return detail::run_fresh<FlatStep>(g, source, radius, stats);
 }
 
 }  // namespace rs

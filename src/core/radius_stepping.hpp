@@ -2,9 +2,10 @@
 //
 // The "flat" engine here keeps tentative distances in an atomic array and
 // runs each Bellman-Ford substep as a parallel edge-map with WriteMin; the
-// step boundary d_i is a parallel min-reduce over the frontier. This is the
+// step boundary d_i is a min folded into the frontier rebuild. This is the
 // engine a practical implementation uses (the BST engine of Algorithm 2
-// lives in core/rs_bst.hpp and produces identical results).
+// lives in core/rs_bst.hpp and produces identical results). Its step loop
+// is the one every engine shares (core/step_loop.hpp).
 //
 // Given radii from preprocessing (r(v) = r_rho(v) on a (k, rho)-graph) the
 // run obeys the paper's bounds: <= ceil(n/rho) * (1 + ceil(log2(rho * L)))

@@ -15,11 +15,13 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include <omp.h>
 
+#include "core/step_loop.hpp"
 #include "parallel/primitives.hpp"
 #include "pset/treap.hpp"
 
@@ -29,37 +31,172 @@ namespace {
 using Key = std::pair<Dist, Vertex>;
 using OrderedSet = Treap<Key>;
 
+/// Algorithm 2's parts (the loop is detail::run_steps).
 template <bool Par>
-void radius_stepping_bst_run(const Graph& g, Vertex source,
-                             const std::vector<Dist>& radius,
-                             QueryContext& ctx, RunStats& local) {
-  const Vertex n = g.num_vertices();
-  const bool targeted = ctx.has_targets();
-  const bool bounds = targeted && ctx.has_target_bounds();
-  const std::size_t k_goal = ctx.k_goal();
-  // Settle sites are all in the sequential spine, so the target counter
-  // needs no atomics. Like the flat engine, the early exit only fires at
-  // step boundaries: vertices settled mid-step can still improve while
-  // the annulus converges (the re-relax branch below).
-  const auto settle = [&ctx, targeted](Vertex v) {
-    ctx.mark_settled(v);
-    if (targeted) ctx.note_target_settled(v);
-  };
-  // Goal checks fire at step boundaries only, where Theorem 3.1 makes
-  // every settled distance final: all targets settled (by order or by
-  // lower-bound proof), or — kTopK — at least k vertices settled.
-  const auto goals_met = [&](std::size_t settled_count) {
-    if (targeted && ctx.targets_remaining() == 0) return true;
-    return k_goal != 0 && settled_count >= k_goal;
-  };
+class BstStep : public detail::QueryState<Graph> {
+ public:
+  static constexpr const char* kName = "radius_stepping_bst";
+  static constexpr std::uint64_t RunStats::*kPartitionNs =
+      &RunStats::partition_ns;
 
-  std::atomic<Dist>* dist = ctx.dist();
-  const auto load = [&](Vertex v) {
-    return dist[v].load(std::memory_order_relaxed);
-  };
-  const auto store = [&](Vertex v, Dist d) {
-    dist[v].store(d, std::memory_order_relaxed);
-  };
+  explicit BstStep(const detail::QueryState<Graph>& state)
+      : QueryState(state),
+        arena_(arena_for(ctx)),
+        q_(arena_),
+        r_(arena_),
+        // First-touch records: every distance store of this engine happens
+        // in the sequential spine (seed loop + batch application), so
+        // bucket 0 suffices in both twins.
+        touch_(ctx.touch_buckets(1)[0]),
+        old_dist_(ctx.old_dist(g.num_vertices())),
+        active_(ctx.active()),
+        next_active_(ctx.next()),
+        touched_(ctx.updated()),
+        kb_(ctx.key_buffers()),
+        nw_(Par ? num_workers() : 1),
+        proposals_(ctx.pair_buckets(nw_)) {}
+
+  void run(Vertex source) { detail::run_steps(*this, source); }
+
+  // Lines 3-4: the source settles ("in some A_i") and Q and R are seeded
+  // with its relaxed neighbours.
+  void seed(Vertex source) {
+    store(source, 0);
+    touch_.push_back(source);
+    goal.settle(source);
+    for (EdgeId e = g.first_arc(source); e < g.last_arc(source); ++e) {
+      const Vertex v = g.arc_target(e);
+      if (v == source) continue;
+      const Dist nd = g.arc_weight(e);
+      const Dist dv = load(v);
+      if (nd < dv) {
+        if (dv != kInfDist) {
+          q_.erase({dv, v});
+          r_.erase({dv + radius[v], v});
+        } else {
+          touch_.push_back(v);
+        }
+        store(v, nd);
+        q_.insert({nd, v});
+        r_.insert({nd + radius[v], v});
+        ++stats.relaxations;
+        goal.check_bound(v, nd);
+      }
+    }
+  }
+
+  bool frontier_empty() const { return q_.empty(); }
+
+  // Line 6: d_i = min of R. Line 7: A_i = Q.split(d_i); Line 8: drop A_i's
+  // keys from R.
+  Dist open_step() {
+    const Dist di = r_.min().first;
+    OrderedSet moved = q_.split_leq({di, kNoVertex});
+    moved.to_vector(kb_.moved);
+    active_.clear();
+    kb_.r_moved.clear();
+    for (const auto& [d, v] : kb_.moved) {
+      active_.push_back(v);
+      goal.settle(v);
+      kb_.r_moved.push_back({d + radius[v], v});
+    }
+    std::sort(kb_.r_moved.begin(), kb_.r_moved.end());
+    r_.subtract(OrderedSet::from_sorted(kb_.r_moved, arena_));
+    // R's minimum is delta(v) + r(v) >= delta(v) for some frontier v, so
+    // the split must free at least that vertex; an empty active set means
+    // Q and R lost sync (a structural bug, not an input condition).
+    if (active_.empty()) {
+      throw std::logic_error("radius_stepping_bst: Q/R inconsistency");
+    }
+    return di;
+  }
+
+  std::size_t active_size() const { return active_.size(); }
+
+  // Lines 9-10: gather relaxation proposals Jacobi-style, from the
+  // pre-substep distances.
+  void relax(Dist prev_di) {
+    for (int t = 0; t < nw_; ++t) {
+      proposals_[static_cast<std::size_t>(t)].clear();
+    }
+    detail::sum_over<Par>(active_.size(), nw_, [&](std::size_t i, int w) {
+      auto& mine = proposals_[static_cast<std::size_t>(w)];
+      const Vertex u = active_[i];
+      const Dist du = load(u);
+      for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
+        const Vertex v = g.arc_target(e);
+        const Dist dv = load(v);
+        if (dv <= prev_di) continue;  // v in S_{i-1}: final
+        const Dist nd = du + g.arc_weight(e);
+        if (nd < dv) mine.push_back({v, nd});
+      }
+      return std::size_t{0};
+    });
+  }
+
+  // Lines 11-19: apply the batch sequentially (set-structure updates are
+  // the sequential spine of this engine; the paper batches them with
+  // pack/sort — the bulk union/difference below are those ops), then
+  // classify the touched vertices into the Q/R batch updates.
+  void partition(Dist di) {
+    ctx.next_mark_epoch();  // one touched-stamp scope per substep
+    touched_.clear();
+    for (int t = 0; t < nw_; ++t) {
+      for (const auto& [v, nd] : proposals_[static_cast<std::size_t>(t)]) {
+        const Dist dv = load(v);
+        if (nd >= dv) continue;  // superseded within the batch
+        if (dv == kInfDist) touch_.push_back(v);  // first ever finite value
+        if (ctx.mark(v)) {
+          old_dist_[v] = dv;
+          touched_.push_back(v);
+        }
+        store(v, nd);
+        ++stats.relaxations;
+      }
+    }
+
+    kb_.q_remove.clear();
+    kb_.r_remove.clear();
+    kb_.q_insert.clear();
+    kb_.r_insert.clear();
+    next_active_.clear();
+    for (const Vertex v : touched_) {
+      const Dist nd = load(v);
+      const Dist od = old_dist_[v];
+      goal.check_bound(v, nd);
+      if (ctx.is_settled(v)) {
+        // Already in A_i: improved again within the annulus; re-relax.
+        next_active_.push_back(v);
+        continue;
+      }
+      if (od != kInfDist) {
+        kb_.q_remove.push_back({od, v});
+        kb_.r_remove.push_back({od + radius[v], v});
+      }
+      if (nd <= di) {
+        // Lines 11-14: migrate from Q/R into A_i.
+        goal.settle(v);
+        next_active_.push_back(v);
+      } else {
+        kb_.q_insert.push_back({nd, v});
+        kb_.r_insert.push_back({nd + radius[v], v});
+      }
+    }
+    std::sort(kb_.q_remove.begin(), kb_.q_remove.end());
+    std::sort(kb_.r_remove.begin(), kb_.r_remove.end());
+    std::sort(kb_.q_insert.begin(), kb_.q_insert.end());
+    std::sort(kb_.r_insert.begin(), kb_.r_insert.end());
+    q_.subtract(OrderedSet::from_sorted(kb_.q_remove, arena_));
+    r_.subtract(OrderedSet::from_sorted(kb_.r_remove, arena_));
+    q_.union_with(OrderedSet::from_sorted(kb_.q_insert, arena_));
+    r_.union_with(OrderedSet::from_sorted(kb_.r_insert, arena_));
+    active_.swap(next_active_);
+  }
+
+  // Q and R are the frontier and carry d_i themselves.
+  void rebuild() {}
+
+ private:
   // Treap node recycling: the Par twin hands its treaps the context's
   // per-worker arena POOL — every acquire/release goes to the executing
   // thread's own freelist, so the bulk set ops keep the paper's task-
@@ -69,247 +206,52 @@ void radius_stepping_bst_run(const Graph& g, Vertex source,
   // the batch scheduler's). The pool must cover the largest team the
   // treap regions can open: they use the default team size, not
   // num_workers(), so size for whichever is larger.
-  const std::size_t team = static_cast<std::size_t>(
-      Par ? std::max(num_workers(), omp_get_max_threads()) : 1);
-  TreapArenaPool<Key>& pool = ctx.tree_arenas(team);
-  const auto arena = [&pool] {
+  using Arena =
+      std::conditional_t<Par, TreapArenaPool<Key>*, TreapArena<Key>*>;
+  static Arena arena_for(QueryContext& ctx) {
     if constexpr (Par) {
-      return &pool;
+      return &ctx.tree_arenas(static_cast<std::size_t>(
+          std::max(num_workers(), omp_get_max_threads())));
     } else {
-      return &pool.arena(0);
-    }
-  }();
-
-  // First-touch records: every distance store of this engine happens in
-  // the sequential spine (seed loop + batch application), so bucket 0
-  // suffices in both twins.
-  std::vector<Vertex>& touch = ctx.touch_buckets(1)[0];
-
-  store(source, 0);
-  touch.push_back(source);
-  settle(source);  // settled == the paper's "in some A_i" flag
-  local.settled = 1;
-
-  // Lines 3-4: seed Q and R with the source's relaxed neighbours.
-  OrderedSet q(arena);  // {(delta(v), v)} for the inactive frontier
-  OrderedSet r(arena);  // {(delta(v) + r(v), v)}, same membership as Q
-  for (EdgeId e = g.first_arc(source); e < g.last_arc(source); ++e) {
-    const Vertex v = g.arc_target(e);
-    if (v == source) continue;
-    const Dist nd = g.arc_weight(e);
-    const Dist dv = load(v);
-    if (nd < dv) {
-      if (dv != kInfDist) {
-        q.erase({dv, v});
-        r.erase({dv + radius[v], v});
-      } else {
-        touch.push_back(v);
-      }
-      store(v, nd);
-      q.insert({nd, v});
-      r.insert({nd + radius[v], v});
-      ++local.relaxations;
-      if (bounds) ctx.note_bound_check(v, nd);
+      return &ctx.tree_arenas(1).arena(0);
     }
   }
 
+  const Arena arena_;
+  OrderedSet q_;  // {(delta(v), v)} for the inactive frontier
+  OrderedSet r_;  // {(delta(v) + r(v), v)}, same membership as Q
+  std::vector<Vertex>& touch_;
   // Context-owned per-vertex state: `ctx.mark(v)` under one mark epoch per
   // substep plays the touched-stamp ("updated this substep") role;
   // `old_dist[v]` remembers a touched vertex's pre-substep distance;
   // settled stamps mark membership in the current or any previous A_i.
-  std::vector<Dist>& old_dist = ctx.old_dist(n);
-  std::vector<Vertex>& active = ctx.active();
-  std::vector<Vertex>& next_active = ctx.next();
-  std::vector<Vertex>& touched = ctx.updated();
-  QueryContext::KeyBuffers& kb = ctx.key_buffers();
-  Dist prev_di = 0;
-
-  const int nw = Par ? num_workers() : 1;
-  std::vector<std::vector<std::pair<Vertex, Dist>>>& proposals =
-      ctx.pair_buckets(nw);
-
-  while (!q.empty()) {
-    // Step boundary: all settled distances are final, so a run that has
-    // met its goal — all targets settled, or k vertices for a top-k
-    // request — is done (also covers source-only sets).
-    if (goals_met(local.settled)) {
-      local.early_exit = true;
-      break;
-    }
-    ++local.steps;
-
-    // Line 6: d_i = min of R.
-    const Dist di = r.min().first;
-
-    // Line 7: A_i = Q.split(d_i); Line 8: drop A_i's keys from R.
-    OrderedSet moved = q.split_leq({di, kNoVertex});
-    moved.to_vector(kb.moved);
-    active.clear();
-    kb.r_moved.clear();
-    for (const auto& [d, v] : kb.moved) {
-      active.push_back(v);
-      settle(v);
-      kb.r_moved.push_back({d + radius[v], v});
-    }
-    std::sort(kb.r_moved.begin(), kb.r_moved.end());
-    r.subtract(OrderedSet::from_sorted(kb.r_moved, arena));
-    // R's minimum is delta(v) + r(v) >= delta(v) for some frontier v, so the
-    // split must free at least that vertex; an empty active set means Q and
-    // R lost sync (a structural bug, not an input condition).
-    if (active.empty()) {
-      throw std::logic_error("radius_stepping_bst: Q/R inconsistency");
-    }
-    local.settled += active.size();
-    local.max_active = std::max(local.max_active, active.size());
-
-    // Lines 9-19: substeps. Each substep gathers relaxation proposals
-    // (Jacobi-style, from the pre-substep distances), applies them, and
-    // pushes the Q/R updates as batched set operations.
-    std::size_t substeps_this_step = 0;
-    while (!active.empty()) {
-      ++substeps_this_step;
-      ctx.next_mark_epoch();  // one touched-stamp scope per substep
-      if constexpr (Par) {
-        for (int t = 0; t < nw; ++t) {
-          proposals[static_cast<std::size_t>(t)].clear();
-        }
-#pragma omp parallel num_threads(nw)
-        {
-          auto& mine =
-              proposals[static_cast<std::size_t>(omp_get_thread_num())];
-#pragma omp for schedule(dynamic, 64)
-          for (std::int64_t i = 0;
-               i < static_cast<std::int64_t>(active.size()); ++i) {
-            const Vertex u = active[static_cast<std::size_t>(i)];
-            const Dist du = load(u);
-            for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
-              const Vertex v = g.arc_target(e);
-              const Dist dv = load(v);
-              if (dv <= prev_di) continue;  // v in S_{i-1}: final
-              const Dist nd = du + g.arc_weight(e);
-              if (nd < dv) mine.push_back({v, nd});
-            }
-          }
-        }
-      } else {
-        auto& mine = proposals[0];
-        mine.clear();
-        for (const Vertex u : active) {
-          const Dist du = load(u);
-          for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
-            const Vertex v = g.arc_target(e);
-            const Dist dv = load(v);
-            if (dv <= prev_di) continue;  // v in S_{i-1}: final
-            const Dist nd = du + g.arc_weight(e);
-            if (nd < dv) mine.push_back({v, nd});
-          }
-        }
-      }
-
-      // Apply the batch sequentially (set-structure updates are the
-      // sequential spine of this engine; the paper batches them with
-      // pack/sort — the bulk union/difference below are those ops).
-      touched.clear();
-      for (int t = 0; t < nw; ++t) {
-        for (const auto& [v, nd] : proposals[static_cast<std::size_t>(t)]) {
-          const Dist dv = load(v);
-          if (nd >= dv) continue;  // superseded within the batch
-          if (dv == kInfDist) touch.push_back(v);  // first ever finite value
-          if (ctx.mark(v)) {
-            old_dist[v] = dv;
-            touched.push_back(v);
-          }
-          store(v, nd);
-          ++local.relaxations;
-        }
-      }
-
-      // Classify touched vertices and build the Q/R batch updates.
-      kb.q_remove.clear();
-      kb.r_remove.clear();
-      kb.q_insert.clear();
-      kb.r_insert.clear();
-      next_active.clear();
-      for (const Vertex v : touched) {
-        const Dist nd = load(v);
-        const Dist od = old_dist[v];
-        // Lower-bound proof site (sequential classify pass, both twins).
-        if (bounds) ctx.note_bound_check(v, nd);
-        if (ctx.is_settled(v)) {
-          // Already in A_i: improved again within the annulus; re-relax.
-          next_active.push_back(v);
-          continue;
-        }
-        if (od != kInfDist) {
-          kb.q_remove.push_back({od, v});
-          kb.r_remove.push_back({od + radius[v], v});
-        }
-        if (nd <= di) {
-          // Line 11-14: migrate from Q/R into A_i.
-          settle(v);
-          next_active.push_back(v);
-          ++local.settled;
-        } else {
-          kb.q_insert.push_back({nd, v});
-          kb.r_insert.push_back({nd + radius[v], v});
-        }
-      }
-      std::sort(kb.q_remove.begin(), kb.q_remove.end());
-      std::sort(kb.r_remove.begin(), kb.r_remove.end());
-      std::sort(kb.q_insert.begin(), kb.q_insert.end());
-      std::sort(kb.r_insert.begin(), kb.r_insert.end());
-      q.subtract(OrderedSet::from_sorted(kb.q_remove, arena));
-      r.subtract(OrderedSet::from_sorted(kb.r_remove, arena));
-      q.union_with(OrderedSet::from_sorted(kb.q_insert, arena));
-      r.union_with(OrderedSet::from_sorted(kb.r_insert, arena));
-
-      active.swap(next_active);
-      local.max_active = std::max(local.max_active, active.size());
-    }
-    local.substeps += substeps_this_step;
-    local.max_substeps_in_step =
-        std::max(local.max_substeps_in_step, substeps_this_step);
-    prev_di = di;
-  }
-}
+  std::vector<Dist>& old_dist_;
+  std::vector<Vertex>& active_;
+  std::vector<Vertex>& next_active_;
+  std::vector<Vertex>& touched_;
+  QueryContext::KeyBuffers& kb_;
+  const int nw_;
+  std::vector<std::vector<std::pair<Vertex, Dist>>>& proposals_;
+};
 
 }  // namespace
 
 void radius_stepping_bst(const Graph& g, Vertex source,
                          const std::vector<Dist>& radius, QueryContext& ctx,
                          std::vector<Dist>& out, RunStats* stats) {
-  ctx.clear_targets();  // full output == exhaustive run, always
-  radius_stepping_bst_partial(g, source, radius, ctx, stats);
-  ctx.finish_query(g.num_vertices(), out);
+  detail::run_full<BstStep>(g, source, radius, ctx, out, stats);
 }
 
 std::vector<Dist> radius_stepping_bst(const Graph& g, Vertex source,
                                       const std::vector<Dist>& radius,
                                       RunStats* stats) {
-  QueryContext ctx(g.num_vertices());
-  std::vector<Dist> out;
-  radius_stepping_bst(g, source, radius, ctx, out, stats);
-  return out;
+  return detail::run_fresh<BstStep>(g, source, radius, stats);
 }
 
 void radius_stepping_bst_partial(const Graph& g, Vertex source,
                                  const std::vector<Dist>& radius,
                                  QueryContext& ctx, RunStats* stats) {
-  const Vertex n = g.num_vertices();
-  if (radius.size() != n) {
-    throw std::invalid_argument("radius_stepping_bst: radius size mismatch");
-  }
-  if (source >= n) throw std::invalid_argument("radius_stepping_bst: source");
-
-  ctx.begin_query(n);
-  RunStats local;
-  if (ctx.sequential()) {
-    radius_stepping_bst_run<false>(g, source, radius, ctx, local);
-  } else {
-    radius_stepping_bst_run<true>(g, source, radius, ctx, local);
-  }
-  local.touched = ctx.touched_count();
-  if (stats != nullptr) *stats = local;
+  detail::run_partial<BstStep>(g, source, radius, ctx, stats);
 }
 
 }  // namespace rs

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <stdexcept>
 
-#include <omp.h>
-
+#include "core/step_loop.hpp"
 #include "parallel/primitives.hpp"
 
 namespace rs {
@@ -21,173 +19,135 @@ namespace {
 /// Targeted early termination: with unit weights a claimed vertex's level
 /// is already final, so the run may stop right after the level expansion
 /// that claims the last stamped target — finer-grained than the weighted
-/// engines' step-boundary exit, and still exact. The bookkeeping lives in
-/// the sequential level-stamping pass, so no atomics are needed.
+/// engines' step-boundary exit (detail::run_steps), and still exact. The
+/// bookkeeping lives in the sequential level-stamping pass, so no atomics
+/// are needed.
 template <bool Par>
-void rs_unweighted_run(const Graph& g, Vertex source,
-                       const std::vector<Dist>& radius, QueryContext& ctx,
-                       RunStats& local) {
-  std::atomic<Dist>* dist = ctx.dist();
-  const bool targeted = ctx.has_targets();
-  // First-touch records: every distance store happens in the sequential
-  // level-stamping pass over freshly-claimed vertices (claims are
-  // exactly-once per query), so bucket 0 suffices even in the Par twin.
-  std::vector<Vertex>& touch = ctx.touch_buckets(1)[0];
-  ctx.next_claim_epoch();
-  if constexpr (Par) {
-    ctx.claim(source);
-  } else {
-    ctx.claim_sequential(source);
+class UnweightedLevels : public detail::QueryState<Graph> {
+ public:
+  static constexpr const char* kName = "radius_stepping_unweighted";
+
+  explicit UnweightedLevels(const detail::QueryState<Graph>& state)
+      : QueryState(state),
+        // First-touch records: every distance store happens in the
+        // sequential level-stamping pass over freshly-claimed vertices
+        // (claims are exactly-once per query), so bucket 0 suffices even
+        // in the Par twin.
+        touch_(ctx.touch_buckets(1)[0]),
+        nw_(Par ? num_workers() : 1),
+        buckets_(ctx.buckets(nw_)) {}
+
+  void run(Vertex source) {
+    ctx.next_claim_epoch();
+    detail::claim<Par>(ctx, source);
+    store(source, 0);
+    touch_.push_back(source);
+    goal.note_target(source);
+    stats.settled = 1;
+
+    std::vector<Vertex>& frontier = ctx.frontier();
+    std::vector<Vertex>& next = ctx.next();
+    // Claimed count = settled-so-far + the current uncounted frontier.
+    // Claims only ever complete whole BFS levels, so every claimed vertex
+    // is final AND every unclaimed vertex is strictly farther than every
+    // claimed one; the exits (including the mid-step one) stay exact.
+    // Lower bounds are ignored here: claimed == final already, so a bound
+    // can never prove a target earlier than its claim does.
+    const auto goal_met = [&] {
+      return goal.met(stats.settled + frontier.size());
+    };
+
+    // Seed: one expansion from the source (reuses the active list as a
+    // single-element frontier).
+    std::vector<Vertex>& seed = ctx.active();
+    seed.clear();
+    seed.push_back(source);
+    expand(seed, frontier, 1);
+    Dist level = 1;  // hop distance of the current frontier
+
+    while (!frontier.empty()) {
+      if (goal_met()) {
+        stats.early_exit = true;
+        break;
+      }
+      ++stats.steps;
+      // d_i = min over the frontier of delta(v) + r(v); all deltas ==
+      // level, and the min radius was folded by the expansion that built
+      // the frontier.
+      const Dist di = level + frontier_min_r_;
+
+      // Settle levels level .. d_i, one parallel substep per level.
+      std::size_t substeps_this_step = 0;
+      while (!frontier.empty() && level <= di) {
+        ++substeps_this_step;
+        stats.max_active = std::max(stats.max_active, frontier.size());
+        stats.settled += frontier.size();
+        expand(frontier, next, level + 1);
+        frontier.swap(next);
+        ++level;
+        if (goal_met()) break;  // claimed == final: exit mid-step too
+      }
+      stats.substeps += substeps_this_step;
+      stats.max_substeps_in_step =
+          std::max(stats.max_substeps_in_step, substeps_this_step);
+    }
   }
-  dist[source].store(0, std::memory_order_relaxed);
-  touch.push_back(source);
-  if (targeted) ctx.note_target_settled(source);
-  local.settled = 1;
 
-  const int nw = Par ? num_workers() : 1;
-  std::vector<std::vector<Vertex>>& buckets = ctx.buckets(nw);
-  std::vector<Vertex>& frontier = ctx.frontier();
-  std::vector<Vertex>& next = ctx.next();
-  frontier.clear();
-  next.clear();
-
-  // Expands `from` (all at hop `level - 1`) by one BFS level into `into`.
-  const auto expand = [&](const std::vector<Vertex>& from,
-                          std::vector<Vertex>& into, Dist level) {
+ private:
+  // Expands `from` (all at hop `level - 1`) by one BFS level into `into`,
+  // stamping the new level and folding the min radius of `into`.
+  void expand(const std::vector<Vertex>& from, std::vector<Vertex>& into,
+              Dist level) {
+    into.clear();
+    detail::sum_over<Par>(from.size(), nw_, [&](std::size_t i, int w) {
+      auto& mine = Par ? buckets_[static_cast<std::size_t>(w)] : into;
+      for (const Vertex v : g.neighbors(from[i])) {
+        if (detail::claim<Par>(ctx, v)) mine.push_back(v);
+      }
+      return std::size_t{0};
+    });
     if constexpr (Par) {
-      for (int t = 0; t < nw; ++t) buckets[static_cast<std::size_t>(t)].clear();
-#pragma omp parallel num_threads(nw)
-      {
-        auto& mine = buckets[static_cast<std::size_t>(omp_get_thread_num())];
-#pragma omp for schedule(dynamic, 64)
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(from.size());
-             ++i) {
-          const Vertex u = from[static_cast<std::size_t>(i)];
-          for (const Vertex v : g.neighbors(u)) {
-            if (ctx.claim(v)) mine.push_back(v);
-          }
-        }
-      }
-      std::size_t total = 0;
-      for (int t = 0; t < nw; ++t) {
-        total += buckets[static_cast<std::size_t>(t)].size();
-      }
-      into.clear();
-      into.reserve(total);
-      for (int t = 0; t < nw; ++t) {
-        auto& b = buckets[static_cast<std::size_t>(t)];
+      for (int t = 0; t < nw_; ++t) {
+        auto& b = buckets_[static_cast<std::size_t>(t)];
         into.insert(into.end(), b.begin(), b.end());
-      }
-    } else {
-      into.clear();
-      for (const Vertex u : from) {
-        for (const Vertex v : g.neighbors(u)) {
-          if (ctx.claim_sequential(v)) into.push_back(v);
-        }
+        b.clear();
       }
     }
+    frontier_min_r_ = kInfDist;
     for (const Vertex v : into) {
-      dist[v].store(level, std::memory_order_relaxed);
-      touch.push_back(v);
-      if (targeted) ctx.note_target_settled(v);
+      store(v, level);
+      touch_.push_back(v);
+      goal.note_target(v);
+      frontier_min_r_ = std::min(frontier_min_r_, radius[v]);
     }
-    local.relaxations += into.size();
-  };
-  // Goal check: all stamped targets claimed, or — kTopK — at least k
-  // vertices claimed. Claims only ever complete whole BFS levels, so every
-  // claimed vertex is final AND every unclaimed vertex is strictly farther
-  // than every claimed one; the exits (including the mid-step one) stay
-  // exact. Claimed count = settled-so-far + the current uncounted
-  // frontier. Lower bounds are ignored here: claimed == final already, so
-  // a bound can never prove a target earlier than its claim does.
-  const std::size_t k_goal = ctx.k_goal();
-  const auto targets_done = [&] {
-    if (targeted && ctx.targets_remaining() == 0) return true;
-    return k_goal != 0 && local.settled + frontier.size() >= k_goal;
-  };
-
-  // Seed: one expansion from the source (reuses the active list as a
-  // single-element frontier).
-  std::vector<Vertex>& seed = ctx.active();
-  seed.clear();
-  seed.push_back(source);
-  expand(seed, frontier, 1);
-  Dist level = 1;  // hop distance of the current frontier
-
-  while (!frontier.empty()) {
-    if (targets_done()) {
-      local.early_exit = true;
-      break;
-    }
-    ++local.steps;
-    // d_i = min over the frontier of delta(v) + r(v); all deltas == level.
-    Dist min_r;
-    if constexpr (Par) {
-      min_r = parallel_min(std::size_t{0}, frontier.size(), kInfDist,
-                           [&](std::size_t i) { return radius[frontier[i]]; });
-    } else {
-      min_r = kInfDist;
-      for (const Vertex v : frontier) min_r = std::min(min_r, radius[v]);
-    }
-    const Dist di = level + min_r;
-
-    // Settle levels level .. d_i, one parallel substep per level.
-    std::size_t substeps_this_step = 0;
-    while (!frontier.empty() && level <= di) {
-      ++substeps_this_step;
-      local.max_active = std::max(local.max_active, frontier.size());
-      local.settled += frontier.size();
-      expand(frontier, next, level + 1);
-      frontier.swap(next);
-      ++level;
-      if (targets_done()) break;  // claimed == final: exit mid-step too
-    }
-    local.substeps += substeps_this_step;
-    local.max_substeps_in_step =
-        std::max(local.max_substeps_in_step, substeps_this_step);
+    stats.relaxations += into.size();
   }
-}
+
+  std::vector<Vertex>& touch_;
+  const int nw_;
+  std::vector<std::vector<Vertex>>& buckets_;
+  Dist frontier_min_r_ = kInfDist;
+};
 
 }  // namespace
 
 void radius_stepping_unweighted_partial(const Graph& g, Vertex source,
                                         const std::vector<Dist>& radius,
                                         QueryContext& ctx, RunStats* stats) {
-  const Vertex n = g.num_vertices();
-  if (radius.size() != n) {
-    throw std::invalid_argument("radius_stepping_unweighted: radius size");
-  }
-  if (source >= n) {
-    throw std::invalid_argument("radius_stepping_unweighted: bad source");
-  }
-
-  ctx.begin_query(n);
-  RunStats local;
-  if (ctx.sequential()) {
-    rs_unweighted_run<false>(g, source, radius, ctx, local);
-  } else {
-    rs_unweighted_run<true>(g, source, radius, ctx, local);
-  }
-  local.touched = ctx.touched_count();
-  if (stats != nullptr) *stats = local;
+  detail::run_partial<UnweightedLevels>(g, source, radius, ctx, stats);
 }
 
 void radius_stepping_unweighted(const Graph& g, Vertex source,
                                 const std::vector<Dist>& radius,
                                 QueryContext& ctx, std::vector<Dist>& out,
                                 RunStats* stats) {
-  ctx.clear_targets();  // full output == exhaustive run, always
-  radius_stepping_unweighted_partial(g, source, radius, ctx, stats);
-  ctx.finish_query(g.num_vertices(), out);
+  detail::run_full<UnweightedLevels>(g, source, radius, ctx, out, stats);
 }
 
 std::vector<Dist> radius_stepping_unweighted(const Graph& g, Vertex source,
                                              const std::vector<Dist>& radius,
                                              RunStats* stats) {
-  QueryContext ctx(g.num_vertices());
-  std::vector<Dist> out;
-  radius_stepping_unweighted(g, source, radius, ctx, out, stats);
-  return out;
+  return detail::run_fresh<UnweightedLevels>(g, source, radius, stats);
 }
 
 }  // namespace rs

@@ -8,8 +8,10 @@
 #include "core/radii.hpp"
 #include "core/radius_stepping.hpp"
 #include "core/rs_bst.hpp"
+#include "core/rs_fragment.hpp"
 #include "core/rs_unweighted.hpp"
 #include "graph/builder.hpp"
+#include "graph/fragment.hpp"
 #include "graph/generators.hpp"
 #include "shortcut/ball_search.hpp"
 #include "shortcut/shortcut.hpp"
@@ -66,6 +68,57 @@ TEST(EngineEquivalence, BstRespectsSubstepBoundAfterPreprocessing) {
     EXPECT_EQ(d, dijkstra(g, 0)) << name;
   }
 }
+
+// Theorem 3.2 for every weighted engine: on a (k, rho)-graph no step
+// takes more than k + 2 substeps, in the Par and the Seq twin alike, and
+// the step sequence is the flat engine's.
+enum class BoundEngine { kFlat, kBst, kFragment1, kFragment3 };
+
+class SubstepBoundTest
+    : public ::testing::TestWithParam<std::tuple<BoundEngine, bool>> {};
+
+TEST_P(SubstepBoundTest, AtMostKPlusTwoSubstepsPerStep) {
+  const auto [engine, sequential] = GetParam();
+  for (const auto& [name, g] : test::weighted_suite(5)) {
+    PreprocessOptions opts;
+    opts.rho = 10;
+    opts.k = 2;
+    opts.heuristic = ShortcutHeuristic::kDP;
+    const PreprocessResult pre = preprocess(g, opts);
+    RunStats flat_stats;
+    radius_stepping(pre.graph, 0, pre.radius, &flat_stats);
+
+    QueryContext ctx(pre.graph.num_vertices());
+    ctx.set_sequential(sequential);
+    std::vector<Dist> d;
+    RunStats stats;
+    switch (engine) {
+      case BoundEngine::kFlat:
+        radius_stepping(pre.graph, 0, pre.radius, ctx, d, &stats);
+        break;
+      case BoundEngine::kBst:
+        radius_stepping_bst(pre.graph, 0, pre.radius, ctx, d, &stats);
+        break;
+      case BoundEngine::kFragment1:
+      case BoundEngine::kFragment3: {
+        const FragmentedGraph fg(pre.graph,
+                                 engine == BoundEngine::kFragment1 ? 1 : 3);
+        radius_stepping_fragment(fg, 0, pre.radius, ctx, d, &stats);
+        break;
+      }
+    }
+    EXPECT_LE(stats.max_substeps_in_step, opts.k + 2u) << name;
+    EXPECT_EQ(stats.steps, flat_stats.steps) << name;
+    EXPECT_EQ(d, dijkstra(g, 0)) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesAndTwins, SubstepBoundTest,
+    ::testing::Combine(::testing::Values(BoundEngine::kFlat, BoundEngine::kBst,
+                                         BoundEngine::kFragment1,
+                                         BoundEngine::kFragment3),
+                       ::testing::Values(false, true)));
 
 class UnweightedEngineTest
     : public ::testing::TestWithParam<std::tuple<int, Vertex>> {};
