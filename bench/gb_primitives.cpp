@@ -16,8 +16,10 @@ void BM_ParallelSum(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<std::uint64_t> v(n, 3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        parallel_sum<std::uint64_t>(0, n, [&](std::size_t i) { return v[i]; }));
+    benchmark::DoNotOptimize(parallel_reduce(
+        std::size_t{0}, n, std::uint64_t{0},
+        [&](std::size_t i) { return v[i]; },
+        [](std::uint64_t a, std::uint64_t b) { return a + b; }));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

@@ -13,16 +13,13 @@
 // ever materializing the O(n) distance vector — and the engine terminates
 // early once every target is settled.
 #include <cstdio>
-#include <cctype>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "baseline/bellman_ford.hpp"
-#include "baseline/bfs.hpp"
+#include "args.hpp"
 #include "baseline/delta_stepping.hpp"
 #include "baseline/dijkstra.hpp"
 #include "core/engine.hpp"
@@ -38,37 +35,8 @@
 namespace {
 
 using namespace rs;
-
-/// Minimal --flag value parser: flags() ["--rho"] etc.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string a = argv[i];
-      const bool is_flag =
-          a.size() >= 2 && a[0] == '-' &&
-          !std::isdigit(static_cast<unsigned char>(a[1]));
-      if (is_flag && i + 1 < argc) {
-        kv_[a] = argv[++i];
-      } else {
-        positional_.push_back(a);
-      }
-    }
-  }
-  std::string get(const std::string& key, const std::string& dflt) const {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : it->second;
-  }
-  long get_int(const std::string& key, long dflt) const {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::stol(it->second);
-  }
-  const std::vector<std::string>& positional() const { return positional_; }
-
- private:
-  std::map<std::string, std::string> kv_;
-  std::vector<std::string> positional_;
-};
+using examples::Args;
+using examples::get_checked;
 
 Graph load_graph(const std::string& path) {
   if (path.size() > 3 && path.substr(path.size() - 3) == ".gr") {
@@ -173,35 +141,6 @@ int cmd_preprocess(const Args& args) {
   return 0;
 }
 
-/// Strict integer flag: absent -> `dflt`; present -> must parse fully as
-/// an integer in [lo, hi]. Rejects what std::stol would let slide —
-/// trailing junk ("5x") — and, crucially, negatives where a vertex id is
-/// expected: `--source -5` historically cast straight to an unsigned
-/// Vertex and queried from vertex 4294967291 without a word.
-long get_checked(const Args& args, const std::string& key, long dflt,
-                 long lo, long hi) {
-  const std::string raw = args.get(key, "");
-  if (raw.empty()) return dflt;
-  std::size_t used = 0;
-  long v = 0;
-  try {
-    v = std::stol(raw, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(key + " expects an integer, got '" + raw +
-                                "'");
-  }
-  if (used != raw.size()) {
-    throw std::invalid_argument(key + " expects an integer, got '" + raw +
-                                "'");
-  }
-  if (v < lo || v > hi) {
-    throw std::invalid_argument(key + " out of range [" +
-                                std::to_string(lo) + ", " +
-                                std::to_string(hi) + "]: " + raw);
-  }
-  return v;
-}
-
 /// Parses "a,b,c" into vertex ids (throws std::invalid_argument /
 /// std::out_of_range on garbage, trailing junk, or ids that do not fit a
 /// Vertex — caught by main's handler).
@@ -295,14 +234,19 @@ int cmd_query(const Args& args) {
 int cmd_run(const Args& args) {
   if (args.positional().empty()) {
     std::fprintf(stderr, "usage: sssp_cli run <graph> [--algo all|dijkstra|"
-                         "delta|bf|bfs|rs] [--source S] [--rho R]\n");
+                         "delta|bf|rs] [--source S] [--rho R]\n");
     return 1;
+  }
+  const std::string algo = args.get("--algo", "all");
+  if (algo != "all" && algo != "dijkstra" && algo != "delta" &&
+      algo != "bf" && algo != "rs") {
+    throw std::invalid_argument("unknown --algo " + algo +
+                                " (all|dijkstra|delta|bf|rs)");
   }
   const Graph g = load_graph(args.positional()[0]);
   const Vertex src = static_cast<Vertex>(get_checked(
       args, "--source", 0, 0,
       static_cast<long>(std::numeric_limits<Vertex>::max())));
-  const std::string algo = args.get("--algo", "all");
   const Vertex rho = static_cast<Vertex>(args.get_int("--rho", 64));
 
   std::vector<Dist> ref;
@@ -333,7 +277,10 @@ int cmd_run(const Args& args) {
   }
   if (algo == "all" || algo == "bf") {
     Timer t;
-    const auto d = bellman_ford_parallel(g, src);
+    // Bellman-Ford is radius stepping with r = infinity: one step of
+    // substeps run to convergence.
+    const auto d =
+        radius_stepping(g, src, bellman_ford_radii(g.num_vertices()));
     mismatches += report("bellman-ford", d, t.millis());
   }
   if (algo == "all" || algo == "rs") {

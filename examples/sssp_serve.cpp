@@ -19,7 +19,10 @@
 // RS_TRACE env var), --slow-query-us N (log traced spans of requests
 // slower than N us to stderr, 0 = off), --flush-ms N / --flush-dirty F
 // (with --dynamic 1: background flush every N ms / once staged updates
-// would dirty fraction F of all balls).
+// would dirty fraction F of all balls). A numeric flag that does not
+// parse whole or falls outside its range (port 1-65535; queue, max-batch,
+// batchers, rho and k at least 1; cache and dynamic 0 or 1; flush-dirty
+// in [0, 1]) is an error, never a silently wrapped value.
 //
 // Line protocol v2 (one request per line, stdin and TCP alike) —
 // verb-prefixed commands:
@@ -73,10 +76,8 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -86,6 +87,7 @@
 #include <thread>
 #include <vector>
 
+#include "args.hpp"
 #include "baseline/dijkstra.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
@@ -93,6 +95,7 @@
 #include "graph/update.hpp"
 #include "graph/weights.hpp"
 #include "obs/trace.hpp"
+#include "parallel/primitives.hpp"
 #include "serve/dynamic.hpp"
 #include "serve/server.hpp"
 #include "shortcut/serialize.hpp"
@@ -101,37 +104,8 @@ namespace {
 
 using namespace rs;
 using namespace rs::serve;
-
-/// Minimal --flag value parser (same contract as sssp_cli's).
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string a = argv[i];
-      const bool is_flag =
-          a.size() >= 2 && a[0] == '-' &&
-          !std::isdigit(static_cast<unsigned char>(a[1]));
-      if (is_flag && i + 1 < argc) {
-        kv_[a] = argv[++i];
-      } else {
-        positional_.push_back(a);
-      }
-    }
-  }
-  std::string get(const std::string& key, const std::string& dflt) const {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : it->second;
-  }
-  long get_int(const std::string& key, long dflt) const {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::stol(it->second);
-  }
-  const std::vector<std::string>& positional() const { return positional_; }
-
- private:
-  std::map<std::string, std::string> kv_;
-  std::vector<std::string> positional_;
-};
+using examples::Args;
+using examples::get_checked;
 
 /// Strict vertex-id parse: digits only, fits a Vertex. Negative numbers,
 /// garbage, and overflow all throw — admission must never mangle an id.
@@ -670,42 +644,56 @@ int main(int argc, char** argv) {
     const QueryEngine qe =
         which == "bst" ? QueryEngine::kBst : QueryEngine::kFlat;
 
-    const std::string graph_path = args.positional()[0];
-    Graph g = graph_path.size() > 3 &&
-                      graph_path.substr(graph_path.size() - 3) == ".gr"
-                  ? io::read_dimacs_file(graph_path)
-                  : io::read_edge_list_file(graph_path);
-
+    // Every numeric flag is range-checked before the graph loads: a
+    // narrowing cast must never turn a typo into a different setting.
+    constexpr long kMaxCount = 1L << 24;  // the queue ring is preallocated
+    constexpr long kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+    constexpr long kMaxVertex = std::numeric_limits<Vertex>::max();
+    const int port =
+        static_cast<int>(get_checked(args, "--port", 0, 1, 65535));
     ServerOptions opts;
-    opts.queue_capacity =
-        static_cast<std::size_t>(args.get_int("--queue", 1024));
-    opts.max_batch =
-        static_cast<std::size_t>(args.get_int("--max-batch", 64));
-    opts.batch_budget =
-        std::chrono::microseconds(args.get_int("--budget-us", 200));
-    opts.batchers = static_cast<int>(args.get_int("--batchers", 1));
-    opts.enable_cache = args.get_int("--cache", 0) != 0;
-    opts.trace_sample = static_cast<std::uint32_t>(args.get_int(
-        "--trace-sample",
-        static_cast<long>(rs::obs::trace_sample_from_env())));
-    opts.slow_query_us =
-        static_cast<std::uint64_t>(args.get_int("--slow-query-us", 0));
-    const long landmarks = args.get_int("--landmarks", 0);
+    opts.queue_capacity = static_cast<std::size_t>(
+        get_checked(args, "--queue", 1024, 1, kMaxCount));
+    opts.max_batch = static_cast<std::size_t>(
+        get_checked(args, "--max-batch", 64, 1, kMaxCount));
+    opts.batch_budget = std::chrono::microseconds(
+        get_checked(args, "--budget-us", 200, 0, kMaxU32));
+    opts.batchers =
+        static_cast<int>(get_checked(args, "--batchers", 1, 1, kMaxWorkers));
+    opts.enable_cache = get_checked(args, "--cache", 0, 0, 1) != 0;
+    opts.trace_sample = static_cast<std::uint32_t>(get_checked(
+        args, "--trace-sample",
+        static_cast<long>(rs::obs::trace_sample_from_env()), 0, kMaxU32));
+    opts.slow_query_us = static_cast<std::uint64_t>(
+        get_checked(args, "--slow-query-us", 0, 0, kMaxU32));
+    const long landmarks = get_checked(args, "--landmarks", 0, 0, kMaxVertex);
     if (landmarks > 0) {
       opts.enable_landmarks = true;
       opts.landmarks.count = static_cast<std::size_t>(landmarks);
     }
 
     PreprocessOptions popts;
-    popts.rho = static_cast<Vertex>(args.get_int("--rho", 64));
-    popts.k = static_cast<Vertex>(args.get_int("--k", 3));
+    popts.rho =
+        static_cast<Vertex>(get_checked(args, "--rho", 64, 1, kMaxVertex));
+    popts.k = static_cast<Vertex>(get_checked(args, "--k", 3, 1, kMaxVertex));
+    const bool dynamic = get_checked(args, "--dynamic", 0, 0, 1) != 0;
+    const auto flush_ms = static_cast<std::uint32_t>(
+        get_checked(args, "--flush-ms", 0, 0, kMaxU32));
+    const double flush_dirty =
+        examples::get_checked_real(args, "--flush-dirty", 0.0, 0.0, 1.0);
+
+    const std::string graph_path = args.positional()[0];
+    Graph g = graph_path.size() > 3 &&
+                      graph_path.substr(graph_path.size() - 3) == ".gr"
+                  ? io::read_dimacs_file(graph_path)
+                  : io::read_edge_list_file(graph_path);
 
     // --dynamic needs the preprocessor's warm state, so it is only
     // available on the in-process preprocessing path; a loaded .pre file
     // serves the static flow unchanged.
     std::unique_ptr<rs::serve::DynamicSsspService> dyn;
     std::unique_ptr<SsspServer> static_server;
-    if (args.get_int("--dynamic", 0) != 0) {
+    if (dynamic) {
       if (args.positional().size() >= 2) {
         throw std::invalid_argument(
             "--dynamic 1 requires in-process preprocessing (omit the "
@@ -714,9 +702,8 @@ int main(int argc, char** argv) {
       rs::serve::DynamicSsspService::Options dopts;
       dopts.preprocess = popts;
       dopts.server = opts;
-      dopts.flush_interval_ms =
-          static_cast<std::uint32_t>(args.get_int("--flush-ms", 0));
-      dopts.flush_dirty_fraction = std::stod(args.get("--flush-dirty", "0"));
+      dopts.flush_interval_ms = flush_ms;
+      dopts.flush_dirty_fraction = flush_dirty;
       dyn = std::make_unique<rs::serve::DynamicSsspService>(std::move(g),
                                                             dopts);
     } else {
@@ -731,7 +718,6 @@ int main(int argc, char** argv) {
     }
     SsspServer& server = dyn != nullptr ? dyn->server() : *static_server;
 
-    const int port = static_cast<int>(args.get_int("--port", 0));
     const int rc = port > 0 ? tcp_serve(server, dyn.get(), qe, port)
                             : stdio_serve(server, dyn.get(), qe);
     server.drain();

@@ -1,6 +1,8 @@
-// Breadth-first search: the unweighted baseline (Radius-Stepping at rho = 1
+// Breadth-first search: the unweighted reference (Radius-Stepping at rho = 1
 // on an unweighted graph degenerates to level-synchronous BFS, which is how
-// Table 5 computes its reduction factors).
+// Table 5 computes its reduction factors). The parallel level-synchronous
+// BFS is radius_stepping_unweighted with bellman_ford_radii: one step whose
+// substeps are the BFS levels (core/rs_unweighted.hpp).
 #pragma once
 
 #include <cstddef>
@@ -19,19 +21,5 @@ std::vector<Dist> bfs(const Graph& g, Vertex source,
 /// Context-reusing form: identical results, scratch state in `ctx`.
 void bfs(const Graph& g, Vertex source, QueryContext& ctx,
          std::vector<Dist>& out, std::size_t* rounds_out = nullptr);
-
-/// Level-synchronous parallel BFS: each level expands the frontier in
-/// parallel, claiming vertices with a CAS.
-std::vector<Dist> bfs_parallel(const Graph& g, Vertex source,
-                               std::size_t* rounds_out = nullptr);
-
-/// Direction-optimizing BFS (Beamer et al.): switches from top-down
-/// frontier expansion to bottom-up "every unvisited vertex probes its
-/// neighbours" when the frontier grows past `alpha` of the remaining
-/// graph's arcs — the standard optimization for low-diameter graphs where
-/// one level spans most of the graph. Identical output to bfs().
-std::vector<Dist> bfs_direction_optimizing(const Graph& g, Vertex source,
-                                           std::size_t* rounds_out = nullptr,
-                                           double alpha = 0.05);
 
 }  // namespace rs

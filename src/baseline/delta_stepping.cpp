@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <type_traits>
 
+#include "core/step_loop.hpp"
 #include "parallel/primitives.hpp"
-#include "parallel/write_min.hpp"
 
 namespace rs {
 
@@ -98,45 +99,37 @@ void delta_stepping(const Graph& g, Vertex source, QueryContext& ctx,
   const int nw = ctx.sequential() ? 1 : num_workers();
   auto& found = ctx.pair_buckets(nw);
 
-  auto relax_frontier = [&](const std::vector<Vertex>& front, bool light) {
-    for (auto& f : found) f.clear();
-    if (nw == 1) {
-      auto& mine = found[0];
-      for (const Vertex u : front) {
-        const Dist du = dist[u].load(std::memory_order_relaxed);
-        for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
-          const Weight w = g.arc_weight(e);
-          if (light ? (w > delta) : (w <= delta)) continue;
-          const Vertex v = g.arc_target(e);
-          const Dist nd = du + w;
-          if (nd < dist[v].load(std::memory_order_relaxed)) {
-            dist[v].store(nd, std::memory_order_relaxed);
-            mine.push_back({v, nd});
-          }
-        }
-      }
-    } else {
-#pragma omp parallel num_threads(nw)
-      {
-        auto& mine = found[static_cast<std::size_t>(omp_get_thread_num())];
-#pragma omp for schedule(dynamic, 64)
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(front.size());
-             ++i) {
-          const Vertex u = front[static_cast<std::size_t>(i)];
+  // Relaxes the light (or heavy) out-arcs of `front` into `found`, written
+  // once over the twin primitives: plain stores on one worker, WriteMin
+  // across an OpenMP team otherwise.
+  auto relax_over = [&](auto par, const std::vector<Vertex>& front,
+                        bool light) {
+    constexpr bool kPar = decltype(par)::value;
+    return detail::sum_over<kPar>(
+        front.size(), nw, [&](std::size_t i, int worker) {
+          auto& mine = found[static_cast<std::size_t>(worker)];
+          const Vertex u = front[i];
           const Dist du = dist[u].load(std::memory_order_relaxed);
+          std::size_t improved = 0;
           for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
             const Weight w = g.arc_weight(e);
             if (light ? (w > delta) : (w <= delta)) continue;
             const Vertex v = g.arc_target(e);
             const Dist nd = du + w;
-            if (write_min(dist[v], nd)) mine.push_back({v, nd});
+            Dist before = dist[v].load(std::memory_order_relaxed);
+            if (nd < before && detail::lower<kPar>(dist[v], nd, before)) {
+              mine.push_back({v, nd});
+              ++improved;
+            }
           }
-        }
-      }
-    }
-    std::size_t relaxed = 0;
-    for (const auto& f : found) relaxed += f.size();
-    local_stats.relaxations += relaxed;
+          return improved;
+        });
+  };
+  auto relax_frontier = [&](const std::vector<Vertex>& front, bool light) {
+    for (auto& f : found) f.clear();
+    local_stats.relaxations +=
+        nw == 1 ? relax_over(std::false_type{}, front, light)
+                : relax_over(std::true_type{}, front, light);
   };
 
   auto flush_found = [&](std::size_t current_bucket,

@@ -18,9 +18,9 @@ namespace {
 /// Bellman–Ford from `source` limited to `hop_limit` rounds; distances are
 /// exact for vertices whose shortest path uses <= hop_limit edges.
 /// Frontier-based; stops early on convergence.
-std::vector<Dist> limited_bellman_ford(const Graph& g, Vertex source,
-                                       std::size_t hop_limit,
-                                       std::size_t* rounds_out = nullptr) {
+std::vector<Dist> hop_limited_bf(const Graph& g, Vertex source,
+                                 std::size_t hop_limit,
+                                 std::size_t* rounds_out = nullptr) {
   const Vertex n = g.num_vertices();
   std::vector<Dist> dist(n, kInfDist);
   std::vector<std::uint8_t> queued(n, 0);
@@ -89,7 +89,7 @@ UYShortcutResult uy_preprocess(const Graph& g, Vertex num_hubs,
 #pragma omp for schedule(dynamic, 1)
     for (std::int64_t hi = 0; hi < static_cast<std::int64_t>(num_hubs); ++hi) {
       const Vertex hub = out.hubs[static_cast<std::size_t>(hi)];
-      const std::vector<Dist> dist = limited_bellman_ford(g, hub, hop_limit);
+      const std::vector<Dist> dist = hop_limited_bf(g, hub, hop_limit);
       for (Vertex v = 0; v < n; ++v) {
         if (v == hub || dist[v] == kInfDist) continue;
         if (dist[v] > std::numeric_limits<Weight>::max()) continue;
@@ -119,7 +119,7 @@ std::vector<Dist> uy_query(const UYShortcutResult& pre, Vertex source,
     // hub->hub->...->target segments collapse to single shortcut arcs.
     hop_limit += 2;
   }
-  return limited_bellman_ford(pre.graph, source, hop_limit, rounds_out);
+  return hop_limited_bf(pre.graph, source, hop_limit, rounds_out);
 }
 
 }  // namespace rs

@@ -12,7 +12,6 @@
 #include <functional>
 #include <numeric>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <omp.h>
@@ -98,21 +97,6 @@ T parallel_reduce(std::size_t begin, std::size_t end, T id, F&& f,
   T acc = id;
   for (const T& p : partial) acc = combine(acc, p);
   return acc;
-}
-
-/// Parallel min-reduction of f(i) over [begin, end).
-template <typename T, typename F>
-T parallel_min(std::size_t begin, std::size_t end, T id, F&& f) {
-  return parallel_reduce(
-      begin, end, id, std::forward<F>(f),
-      [](const T& a, const T& b) { return a < b ? a : b; });
-}
-
-/// Parallel sum-reduction of f(i) over [begin, end).
-template <typename T, typename F>
-T parallel_sum(std::size_t begin, std::size_t end, F&& f) {
-  return parallel_reduce(begin, end, T{}, std::forward<F>(f),
-                         [](const T& a, const T& b) { return a + b; });
 }
 
 /// Exclusive prefix sum of `in`; returns the total. `out` may alias `in`.

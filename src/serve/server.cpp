@@ -10,22 +10,6 @@
 
 namespace rs::serve {
 
-namespace {
-
-/// Pin-once helpers: all engine/oracle access funnels through these so
-/// every code path uses the same acquire loads.
-std::shared_ptr<const SsspEngine> pin(
-    const std::shared_ptr<const SsspEngine>& slot) {
-  return std::atomic_load_explicit(&slot, std::memory_order_acquire);
-}
-
-std::shared_ptr<const LandmarkOracle> pin(
-    const std::shared_ptr<const LandmarkOracle>& slot) {
-  return std::atomic_load_explicit(&slot, std::memory_order_acquire);
-}
-
-}  // namespace
-
 const char* to_string(SubmitStatus status) {
   switch (status) {
     case SubmitStatus::kAccepted:
@@ -94,17 +78,18 @@ SsspServer::SsspServer(std::shared_ptr<const SsspEngine> engine,
                                   "(microseconds, submit to completion)")),
       marks_enabled_(opts.trace_sample != 0 || opts.slow_query_us != 0),
       queue_(opts.queue_capacity) {
-  if (engine_ == nullptr) {
+  const std::shared_ptr<const SsspEngine> eng = engine_.pin();
+  if (eng == nullptr) {
     throw std::invalid_argument("SsspServer: null engine");
   }
-  epoch_gauge_.set(static_cast<double>(engine_->graph_epoch()));
+  epoch_gauge_.set(static_cast<double>(eng->graph_epoch()));
   if (opts_.enable_cache) {
     cache_ = std::make_unique<ResultCache>(opts_.cache);
   }
   if (opts_.enable_landmarks) {
     // Built before the batchers start, so the rows never race a serve.
-    oracle_ = std::make_shared<const LandmarkOracle>(*engine_,
-                                                     opts_.landmarks);
+    oracle_.publish(
+        std::make_shared<const LandmarkOracle>(*eng, opts_.landmarks));
   }
   paused_ = opts_.start_paused;
   const int n = opts_.batchers < 1 ? 1 : opts_.batchers;
@@ -124,7 +109,7 @@ SubmitStatus SsspServer::submit(QueryRequest req,
   }
   // One pin for the whole admission path: validation and the cache key
   // come from the same snapshot even if a swap lands mid-submit.
-  const std::shared_ptr<const SsspEngine> eng = pin(engine_);
+  const std::shared_ptr<const SsspEngine> eng = engine_.pin();
   // Validate at the edge: a bad request is rejected on its own, before it
   // can be coalesced into (and poison) a micro-batch.
   try {
@@ -263,7 +248,7 @@ ServerStats SsspServer::stats() const {
   s.cache_hits = cache_hits_.value();
   s.cache_misses = cache_misses_.value();
   s.lower_bound_exits = lb_exits_.value();
-  s.epoch = pin(engine_)->graph_epoch();
+  s.epoch = engine_.pin()->graph_epoch();
   s.swaps = swaps_.value();
   s.traced = traced_.value();
   s.slow_queries = slow_queries_.value();
@@ -275,7 +260,7 @@ std::string SsspServer::export_metrics(MetricsFormat format) const {
   // currently-published snapshot and the admitted-minus-completed gap.
   // (Reference members make this legal from a const method; the gauges
   // are registry cells, not server state.)
-  epoch_gauge_.set(static_cast<double>(pin(engine_)->graph_epoch()));
+  epoch_gauge_.set(static_cast<double>(engine_.pin()->graph_epoch()));
   in_flight_gauge_.set(
       static_cast<double>(accepted_.value(std::memory_order_acquire) -
                           completed_.value(std::memory_order_acquire)));
@@ -288,11 +273,11 @@ ResultCacheStats SsspServer::cache_stats() const {
 }
 
 std::shared_ptr<const LandmarkOracle> SsspServer::oracle() const {
-  return pin(oracle_);
+  return oracle_.pin();
 }
 
 std::shared_ptr<const SsspEngine> SsspServer::engine_snapshot() const {
-  return pin(engine_);
+  return engine_.pin();
 }
 
 void SsspServer::swap_engine(std::shared_ptr<const SsspEngine> next) {
@@ -304,13 +289,10 @@ void SsspServer::swap_engine(std::shared_ptr<const SsspEngine> next) {
   // pin the new engine, the matching oracle is already there (the brief
   // window where the old oracle fails valid_for() just skips annotation).
   if (opts_.enable_landmarks) {
-    auto fresh = std::make_shared<const LandmarkOracle>(*next,
-                                                        opts_.landmarks);
-    std::atomic_store_explicit(&oracle_, std::move(fresh),
-                               std::memory_order_release);
+    oracle_.publish(
+        std::make_shared<const LandmarkOracle>(*next, opts_.landmarks));
   }
-  std::atomic_store_explicit(&engine_, std::move(next),
-                             std::memory_order_release);
+  engine_.publish(std::move(next));
   // Rows keyed to older epochs can never match again (epochs only grow);
   // reclaim their memory eagerly.
   if (cache_ != nullptr) cache_->purge_stale(epoch);
@@ -460,8 +442,8 @@ void SsspServer::execute(std::vector<Pending>& batch) {
   // the same engine snapshot (a swap mid-batch affects only later
   // batches), and the oracle is only consulted when it matches THAT
   // snapshot's epoch — never a cross-epoch bound.
-  const std::shared_ptr<const SsspEngine> eng = pin(engine_);
-  const std::shared_ptr<const LandmarkOracle> orc = pin(oracle_);
+  const std::shared_ptr<const SsspEngine> eng = engine_.pin();
+  const std::shared_ptr<const LandmarkOracle> orc = oracle_.pin();
   // Assemble the engine batch: direct requests as-is (ALT-annotated when
   // the oracle matches the current epoch), cache OWNERS upgraded to
   // full-distance runs so their row can be published for every waiter.

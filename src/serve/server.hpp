@@ -37,8 +37,8 @@
 /// and the bounded queue sheds load (kQueueFull) instead of queueing
 /// without limit. Both rejections are cheap constant-time paths.
 ///
-/// Live graph swaps: the server holds its engine through an atomic
-/// shared_ptr (the RCU pattern of graph/graph_swap.hpp). Every submit and
+/// Live graph swaps: the server holds its engine in a SnapshotSwap (the
+/// RCU pattern of graph/graph_swap.hpp). Every submit and
 /// every micro-batch pins the pointer ONCE and serves entirely from that
 /// snapshot, so swap_engine() can publish a successor (built with
 /// SsspEngine::next_epoch) mid-traffic: in-flight work finishes on the
@@ -71,6 +71,7 @@
 
 #include "core/engine.hpp"
 #include "core/request.hpp"
+#include "graph/graph_swap.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -330,11 +331,10 @@ class SsspServer {
                       std::chrono::steady_clock::time_point now,
                       std::uint64_t e2e_us);
 
-  // The published engine snapshot, accessed only through the C++17
-  // atomic shared_ptr free functions (the SnapshotSwap pattern): submit
-  // pins once per request, execute pins once per micro-batch, and
-  // swap_engine publishes a successor. Never null after construction.
-  std::shared_ptr<const SsspEngine> engine_;
+  // The published engine snapshot: submit pins once per request, execute
+  // pins once per micro-batch, and swap_engine publishes a successor.
+  // Never null after construction.
+  SnapshotSwap<SsspEngine> engine_;
   const ServerOptions opts_;
 
   // THE counter source of truth: every ServerStats field is a registry
@@ -370,7 +370,7 @@ class SsspServer {
   // check valid_for() against that same snapshot, so an oracle mid-
   // rebuild never annotates a request with cross-epoch bounds.
   std::unique_ptr<ResultCache> cache_;
-  std::shared_ptr<const LandmarkOracle> oracle_;
+  SnapshotSwap<LandmarkOracle> oracle_;
 
   BoundedQueue<Pending> queue_;
   std::vector<std::thread> batchers_;

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "baseline/bellman_ford.hpp"
 #include "baseline/bfs.hpp"
 #include "baseline/delta_stepping.hpp"
 #include "baseline/dijkstra.hpp"
+#include "core/rs_unweighted.hpp"
 #include "graph/builder.hpp"
 #include "test_util.hpp"
 
@@ -51,8 +51,8 @@ TEST_P(BaselineAgreementTest, AllAlgorithmsAgreeWithDijkstra) {
     const auto ref = dijkstra(g, src);
 
     EXPECT_EQ(dijkstra_pairing(g, src), ref) << name << " pairing";
-    EXPECT_EQ(bellman_ford(g, src), ref) << name << " bellman-ford";
-    EXPECT_EQ(bellman_ford_parallel(g, src), ref) << name << " bf-parallel";
+    EXPECT_EQ(test::bellman_ford_twin(g, src, true), ref) << name << " bf seq";
+    EXPECT_EQ(test::bellman_ford_twin(g, src, false), ref) << name << " bf par";
     EXPECT_EQ(delta_stepping(g, src), ref) << name << " delta default";
     EXPECT_EQ(delta_stepping(g, src, 1), ref) << name << " delta=1";
     EXPECT_EQ(delta_stepping(g, src, 50), ref) << name << " delta=50";
@@ -65,13 +65,17 @@ INSTANTIATE_TEST_SUITE_P(SeedsAndSources, BaselineAgreementTest,
                                             ::testing::Range(0, 3)));
 
 TEST(BellmanFord, RoundCountBoundedByHopDiameter) {
+  // r = infinity runs one step; distances propagate one hop per substep,
+  // so the 49-hop chain takes exactly 49 substeps in either twin.
   const Graph g = assign_unit_weights(gen::chain(50));
-  std::size_t rounds = 0;
-  bellman_ford_parallel(g, 0, &rounds);
-  // Distances propagate one hop per round; chain needs exactly 49 + a final
-  // no-op round bounded by 50.
-  EXPECT_GE(rounds, 49u);
-  EXPECT_LE(rounds, 51u);
+  for (const bool sequential : {true, false}) {
+    RunStats stats;
+    EXPECT_EQ(test::bellman_ford_twin(g, 0, sequential, &stats),
+              dijkstra(g, 0))
+        << "sequential " << sequential;
+    EXPECT_EQ(stats.steps, 1u) << "sequential " << sequential;
+    EXPECT_EQ(stats.substeps, 49u) << "sequential " << sequential;
+  }
 }
 
 TEST(DeltaStepping, StatsAreConsistent) {
@@ -100,12 +104,21 @@ class BfsTest : public ::testing::TestWithParam<int> {};
 TEST_P(BfsTest, SequentialAndParallelMatchUnitDijkstra) {
   for (const auto& [name, g] : test::unweighted_suite(GetParam())) {
     const auto ref = dijkstra(g, 0);
-    std::size_t rounds_seq = 0;
-    std::size_t rounds_par = 0;
-    EXPECT_EQ(bfs(g, 0, &rounds_seq), ref) << name;
-    EXPECT_EQ(bfs_parallel(g, 0, &rounds_par), ref) << name;
-    EXPECT_EQ(rounds_seq, rounds_par) << name;
-    EXPECT_EQ(rounds_seq, bfs_eccentricity(g, 0)) << name;
+    std::size_t rounds = 0;
+    EXPECT_EQ(bfs(g, 0, &rounds), ref) << name;
+    EXPECT_EQ(rounds, bfs_eccentricity(g, 0)) << name;
+    // Parallel level-synchronous BFS is kUnweighted with r = infinity: one
+    // step whose substeps are the BFS levels.
+    const auto radius = bellman_ford_radii(g.num_vertices());
+    for (const bool sequential : {true, false}) {
+      QueryContext ctx(g.num_vertices());
+      ctx.set_sequential(sequential);
+      std::vector<Dist> got;
+      RunStats stats;
+      radius_stepping_unweighted(g, 0, radius, ctx, got, &stats);
+      EXPECT_EQ(got, ref) << name << " sequential " << sequential;
+      EXPECT_EQ(stats.substeps, rounds) << name << " sequential " << sequential;
+    }
   }
 }
 

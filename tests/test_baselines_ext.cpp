@@ -1,9 +1,8 @@
-// Extended baselines: direction-optimizing BFS, parallel connected
-// components, random geometric graphs, and the Ullman–Yannakakis hub
-// shortcutting (the paper's Section-6 related-work technique).
+// Extended baselines: parallel connected components, random geometric
+// graphs, and the Ullman–Yannakakis hub shortcutting (the paper's
+// Section-6 related-work technique).
 #include <gtest/gtest.h>
 
-#include "baseline/bfs.hpp"
 #include "baseline/dijkstra.hpp"
 #include "baseline/uy_shortcut.hpp"
 #include "graph/builder.hpp"
@@ -13,33 +12,6 @@
 
 namespace rs {
 namespace {
-
-class DirOptBfsTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(DirOptBfsTest, MatchesPlainBfsEverywhere) {
-  for (const auto& [name, g] : test::unweighted_suite(GetParam())) {
-    std::size_t plain_rounds = 0;
-    std::size_t opt_rounds = 0;
-    const auto plain = bfs(g, 0, &plain_rounds);
-    const auto opt = bfs_direction_optimizing(g, 0, &opt_rounds);
-    EXPECT_EQ(opt, plain) << name;
-    EXPECT_EQ(opt_rounds, plain_rounds) << name;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DirOptBfsTest, ::testing::Range(1, 4));
-
-TEST(DirOptBfs, ForcedBottomUpStillCorrect) {
-  // alpha = 0 forces bottom-up from round one.
-  const Graph g = gen::barabasi_albert(2000, 5, 9);
-  EXPECT_EQ(bfs_direction_optimizing(g, 3, nullptr, 0.0), bfs(g, 3));
-}
-
-TEST(DirOptBfs, ForcedTopDownStillCorrect) {
-  // alpha = 1 never switches.
-  const Graph g = gen::grid2d(30, 30);
-  EXPECT_EQ(bfs_direction_optimizing(g, 7, nullptr, 1.0), bfs(g, 7));
-}
 
 TEST(ParallelCC, MatchesSequentialPartition) {
   const Graph g = gen::erdos_renyi(2000, 2200, 11);  // several components

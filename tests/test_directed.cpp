@@ -6,7 +6,6 @@
 // usable as general SSSP routines.
 #include <gtest/gtest.h>
 
-#include "baseline/bellman_ford.hpp"
 #include "baseline/delta_stepping.hpp"
 #include "baseline/dijkstra.hpp"
 #include "core/radii.hpp"
@@ -14,6 +13,7 @@
 #include "core/rs_bst.hpp"
 #include "graph/builder.hpp"
 #include "parallel/rng.hpp"
+#include "test_util.hpp"
 
 namespace rs {
 namespace {
@@ -59,8 +59,8 @@ TEST_P(DirectedTest, AllEnginesHandleDirectedGraphs) {
   const Vertex src = static_cast<Vertex>(rng.bounded(0, 0, g.num_vertices()));
   const auto ref = dijkstra(g, src);
 
-  EXPECT_EQ(bellman_ford(g, src), ref);
-  EXPECT_EQ(bellman_ford_parallel(g, src), ref);
+  EXPECT_EQ(test::bellman_ford_twin(g, src, true), ref);
+  EXPECT_EQ(test::bellman_ford_twin(g, src, false), ref);
   EXPECT_EQ(delta_stepping(g, src), ref);
   // Radius-Stepping with assorted radii (correct for any r on directed
   // inputs; the bounded-step guarantees need undirected preprocessing).

@@ -3,7 +3,6 @@
 // radius-stepping parameters. One parameterized case = one full pipeline.
 #include <gtest/gtest.h>
 
-#include "baseline/bellman_ford.hpp"
 #include "baseline/delta_stepping.hpp"
 #include "baseline/dijkstra.hpp"
 #include "core/radius_stepping.hpp"
@@ -69,8 +68,8 @@ TEST_P(FuzzTest, EveryAlgorithmAgreesOnRandomPipelines) {
   const auto ref = dijkstra(g, src);
 
   // Baselines.
-  ASSERT_EQ(bellman_ford(g, src), ref) << "seed " << seed;
-  ASSERT_EQ(bellman_ford_parallel(g, src), ref) << "seed " << seed;
+  ASSERT_EQ(test::bellman_ford_twin(g, src, true), ref) << "seed " << seed;
+  ASSERT_EQ(test::bellman_ford_twin(g, src, false), ref) << "seed " << seed;
   const Dist delta = 1 + rng.bounded(0, 1, g.max_weight());
   ASSERT_EQ(delta_stepping(g, src, delta), ref)
       << "seed " << seed << " delta " << delta;
@@ -132,8 +131,9 @@ TEST_P(AdversarialFuzzTest, EnginesExactOnDirectedSelfLoopMultigraphs) {
       const Vertex src =
           static_cast<Vertex>(rng.bounded(1, static_cast<std::uint64_t>(s), n));
       const auto ref = dijkstra(c.graph, src);
-      ASSERT_EQ(bellman_ford(c.graph, src), ref) << c.name << " src " << src;
-      ASSERT_EQ(bellman_ford_parallel(c.graph, src), ref)
+      ASSERT_EQ(test::bellman_ford_twin(c.graph, src, true), ref)
+          << c.name << " src " << src;
+      ASSERT_EQ(test::bellman_ford_twin(c.graph, src, false), ref)
           << c.name << " src " << src;
       ASSERT_EQ(delta_stepping(c.graph, src), ref) << c.name << " src " << src;
       ASSERT_EQ(radius_stepping(c.graph, src, dijkstra_radii(n)), ref)

@@ -38,8 +38,9 @@ TEST(ParallelReduce, SumMatchesSequential) {
   for (std::size_t i = 0; i < n; ++i) v[i] = i * 7 + 1;
   const std::uint64_t expect =
       std::accumulate(v.begin(), v.end(), std::uint64_t{0});
-  const std::uint64_t got =
-      parallel_sum<std::uint64_t>(0, n, [&](std::size_t i) { return v[i]; });
+  const std::uint64_t got = parallel_reduce(
+      std::size_t{0}, n, std::uint64_t{0}, [&](std::size_t i) { return v[i]; },
+      [](std::uint64_t a, std::uint64_t b) { return a + b; });
   EXPECT_EQ(got, expect);
 }
 
@@ -49,13 +50,19 @@ TEST(ParallelReduce, MinFindsGlobalMinimum) {
   std::vector<std::uint64_t> v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = rng.get(0, i);
   const std::uint64_t expect = *std::min_element(v.begin(), v.end());
-  EXPECT_EQ(parallel_min(std::size_t{0}, n, ~std::uint64_t{0},
-                         [&](std::size_t i) { return v[i]; }),
+  EXPECT_EQ(parallel_reduce(
+                std::size_t{0}, n, ~std::uint64_t{0},
+                [&](std::size_t i) { return v[i]; },
+                [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); }),
             expect);
 }
 
 TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
-  EXPECT_EQ(parallel_sum<int>(10, 10, [](std::size_t) { return 1; }), 0);
+  EXPECT_EQ(parallel_reduce(
+                std::size_t{10}, std::size_t{10}, 0,
+                [](std::size_t) { return 1; },
+                [](int a, int b) { return a + b; }),
+            0);
 }
 
 class ScanTest : public ::testing::TestWithParam<std::size_t> {};
@@ -163,26 +170,6 @@ TEST(WriteMin, ConcurrentWritersConvergeToMinimum) {
   // Each success strictly lowers the value, so successes are bounded by the
   // number of distinct values and at least 1.
   EXPECT_GE(successes.load(), 1);
-}
-
-TEST(WriteMax, RaisesOnly) {
-  std::atomic<std::uint32_t> cell{10};
-  EXPECT_TRUE(write_max(cell, 20u));
-  EXPECT_FALSE(write_max(cell, 15u));
-  EXPECT_EQ(cell.load(), 20u);
-}
-
-TEST(PackedMin, RoundTripsPriorityAndPayload) {
-  const std::uint64_t p = (1ull << 39) + 12345;
-  const std::uint32_t payload = (1u << 23) + 99;
-  const std::uint64_t packed = PackedMin::pack(p, payload);
-  EXPECT_EQ(PackedMin::priority(packed), p);
-  EXPECT_EQ(PackedMin::payload(packed), payload);
-}
-
-TEST(PackedMin, OrdersByPriorityFirst) {
-  EXPECT_LT(PackedMin::pack(1, 0xffffff), PackedMin::pack(2, 0));
-  EXPECT_LT(PackedMin::pack(5, 3), PackedMin::pack(5, 4));
 }
 
 TEST(SplitRng, DeterministicAndSeedSensitive) {

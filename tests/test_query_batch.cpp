@@ -6,7 +6,6 @@
 // multigraph) palette, at several worker counts.
 #include <gtest/gtest.h>
 
-#include "baseline/bellman_ford.hpp"
 #include "baseline/bfs.hpp"
 #include "baseline/delta_stepping.hpp"
 #include "baseline/dijkstra.hpp"
@@ -324,11 +323,22 @@ TEST(QueryContext, BaselinesReuseOneContext) {
       std::vector<Dist> got;
       dijkstra(g, s, ctx, got);
       EXPECT_EQ(got, ref) << name << " dijkstra src " << s;
-      std::size_t rounds_fresh = 0, rounds_ctx = 0;
-      const auto bf_ref = bellman_ford(g, s, &rounds_fresh);
-      bellman_ford(g, s, ctx, got, &rounds_ctx);
-      EXPECT_EQ(got, bf_ref) << name;
-      EXPECT_EQ(rounds_ctx, rounds_fresh) << name;
+      // Bellman-Ford (r = infinity) in both twins on the shared context.
+      // Substep counts are compared in the Seq twin only: a Par substep
+      // may see distances lowered earlier in the same substep, so its
+      // count depends on the schedule.
+      for (const bool sequential : {true, false}) {
+        RunStats fresh, warm;
+        const auto bf_ref = test::bellman_ford_twin(g, s, sequential, &fresh);
+        ctx.set_sequential(sequential);
+        radius_stepping(g, s, bellman_ford_radii(n), ctx, got, &warm);
+        ctx.set_sequential(false);
+        EXPECT_EQ(got, bf_ref) << name << " sequential " << sequential;
+        EXPECT_EQ(got, ref) << name << " sequential " << sequential;
+        if (sequential) {
+          EXPECT_EQ(warm.substeps, fresh.substeps) << name;
+        }
+      }
       delta_stepping(g, s, ctx, got);
       EXPECT_EQ(got, ref) << name << " delta src " << s;
     }
@@ -351,7 +361,7 @@ TEST(QueryContext, BaselinesExactOnAdversarialSuite) {
     std::vector<Dist> got;
     dijkstra(g, 1, ctx, got);
     EXPECT_EQ(got, ref) << name;
-    bellman_ford(g, 1, ctx, got);
+    radius_stepping(g, 1, bellman_ford_radii(g.num_vertices()), ctx, got);
     EXPECT_EQ(got, ref) << name;
     delta_stepping(g, 1, ctx, got);
     EXPECT_EQ(got, ref) << name;

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
 #include "core/radii.hpp"
 #include "graph/builder.hpp"

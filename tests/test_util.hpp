@@ -5,7 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "core/query_context.hpp"
+#include "core/radii.hpp"
+#include "core/radius_stepping.hpp"
 #include "core/request.hpp"
+#include "core/stats.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -140,6 +144,20 @@ inline QueryRequest full_request(Vertex source,
   req.want_full_distances = true;
   req.engine = engine;
   return req;
+}
+
+/// Bellman-Ford as radius stepping with r = infinity: one step whose
+/// substeps are Bellman-Ford's rounds. `sequential` picks the Seq twin,
+/// otherwise the Par twin runs.
+inline std::vector<Dist> bellman_ford_twin(const Graph& g, Vertex source,
+                                           bool sequential,
+                                           RunStats* stats = nullptr) {
+  QueryContext ctx(g.num_vertices());
+  ctx.set_sequential(sequential);
+  std::vector<Dist> out;
+  radius_stepping(g, source, bellman_ford_radii(g.num_vertices()), ctx, out,
+                  stats);
+  return out;
 }
 
 /// Same shapes with unit weights.
