@@ -6,9 +6,8 @@
 //            (baseline);
 //   ctx    — the same sequential loop over one warm QueryContext
 //            (zero-allocation hot path, intra-query parallelism);
-//   batch  — engine.serve_batch(): the two-level scheduler (source-parallel
-//            across the per-worker context pool when the batch is at least
-//            as wide as the worker count).
+//   batch  — engine.serve_batch(): a team of workers, each running one
+//            source at a time on its pooled context.
 //
 // The three strategies run for the flat engine (metric names seq_qps /
 // ctx_qps / batch_qps) and for Algorithm 2 on the arena treap (bst_*), so
@@ -171,7 +170,7 @@ int main() {
         }
       };
 
-      // The two-level batch scheduler.
+      // The team of workers.
       std::vector<QueryResponse> batch_results;
       const auto run_batch = [&] {
         batch_results = engine.serve_batch(requests);

@@ -31,7 +31,7 @@
 // mode; default 256 at ci scale, 4096 otherwise), RS_CLIENTS (closed-loop
 // client threads, default 8), RS_TARGETS (targets per request, default 1),
 // RS_RHO (preprocess rho, default 32), RS_QUEUE (queue capacity, 1024),
-// RS_MAX_BATCH (64), RS_BUDGET_US (micro-batch budget, 200),
+// RS_MAX_BATCH (64), RS_BUDGET_US (batch budget, 200),
 // RS_BATCHERS (2), RS_RATE (open-loop offered qps, 0 = auto),
 // RS_TOPK (k for the top-k loop, default 8), RS_TRACE (trace every Nth
 // request through the server's span pipeline, 0 = off — for measuring

@@ -6,8 +6,8 @@
 //
 // Landmark tables are the one serving workload that genuinely needs the
 // full O(n) distance vector per source, so the requests set
-// want_full_distances, and serve_batch() runs them through the two-level
-// scheduler (source-parallel across the per-worker context pool).
+// want_full_distances, and serve_batch() runs them through a team of
+// workers (one source per worker at a time, each on its pooled context).
 //
 //   ./landmark_distances [side=128] [landmarks=8]
 #include <cstdio>

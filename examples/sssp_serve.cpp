@@ -9,8 +9,9 @@
 //   sssp_serve g.gr --rho 64 --k 3 --dynamic 1   # + live weight updates
 //
 // Daemon flags: --port P (TCP listener; default stdin), --queue N
-// (admission queue depth, default 1024), --max-batch N (micro-batch cap,
-// default 64), --budget-us N (coalescing window, default 200),
+// (admission queue depth, default 1024), --max-batch N (most requests one
+// serving team takes under one engine pin, default 64), --budget-us N
+// (how long a lone request waits for a team-mate, default 200),
 // --batchers N (batcher threads, default 1), --engine flat|bst,
 // --cache 0|1 (hot-source result cache, default 0), --landmarks N (ALT
 // oracle with N landmarks, default 0 = off), --dynamic 0|1 (live weight
@@ -78,6 +79,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -389,9 +391,11 @@ void on_signal(int) {
 
 /// Blocking TCP front-end: line protocol, one thread per connection. All
 /// connections feed the same server, so requests from different clients
-/// coalesce into shared micro-batches. Once the listener closes, every
-/// still-open connection is shut down for reading: a thread blocked in
-/// read() sees EOF, and a reply already being answered is still written.
+/// are served by shared teams. Threads of closed connections are joined
+/// on the next accept, so they do not pile up over the daemon's
+/// lifetime. Once the listener closes, every still-open connection is
+/// shut down for reading: a thread blocked in read() sees EOF, and a
+/// reply already being answered is still written.
 int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
               QueryEngine engine, int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -420,16 +424,31 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
   // closing it, so the shutdown pass below never touches a reused fd.
   std::mutex clients_mutex;
   std::set<int> clients;
-  std::vector<std::thread> conns;
+  // Connection threads; each raises its flag as its last act, and the
+  // accept loop joins the flagged ones. A list, so a flag never moves.
+  struct Conn {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+  std::list<Conn> conns;
   while (g_stop == 0) {
     const int client = ::accept(fd, nullptr, nullptr);
     if (client < 0) break;  // listener closed by the signal handler
+    for (auto it = conns.begin(); it != conns.end();) {
+      if (it->finished.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = conns.erase(it);
+      } else {
+        ++it;
+      }
+    }
     {
       const std::lock_guard<std::mutex> lock(clients_mutex);
       clients.insert(client);
     }
+    Conn& conn = conns.emplace_back();
     // By reference: everything captured outlives the joined threads.
-    conns.emplace_back([&, client] {
+    conn.thread = std::thread([&, client, finished = &conn.finished] {
       LineReader reader(client);
       std::string line;
       for (;;) {
@@ -448,13 +467,14 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
         clients.erase(client);
       }
       ::close(client);
+      finished->store(true, std::memory_order_release);
     });
   }
   {
     const std::lock_guard<std::mutex> lock(clients_mutex);
     for (const int client : clients) ::shutdown(client, SHUT_RD);
   }
-  for (std::thread& t : conns) t.join();
+  for (Conn& conn : conns) conn.thread.join();
   if (g_stop == 0) ::close(fd);
   return 0;
 }

@@ -1,5 +1,7 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -122,6 +124,21 @@ const Graph& SsspEngine::transpose(Graph& local) const {
 void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
                            const Graph* transpose, QueryResponse& resp) const {
   const Vertex n = pre_.graph.num_vertices();
+  // A throw between the engine's first write and the epilogue below (a
+  // bad_alloc while growing touch records or a path, say) would leave
+  // finite distances behind, and a pooled context would answer its next
+  // query wrongly. The touch records may be incomplete then, so the guard
+  // sweeps every entry the context holds.
+  struct UnwindGuard {
+    QueryContext& ctx;
+    Vertex n;
+    bool armed = true;
+    ~UnwindGuard() {
+      if (!armed) return;
+      ctx.reset_distances(std::min(n, ctx.capacity()));
+      ctx.clear_targets();
+    }
+  } guard{ctx, n};
   resp.source = req.source;
   resp.stats = RunStats{};
   resp.dist.clear();
@@ -237,6 +254,7 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
   resp.served_from_cache = false;
   resp.lower_bound_exits = ctx.lower_bound_exits();
   ctx.clear_targets();
+  guard.armed = false;
 }
 
 QueryResponse SsspEngine::serve(const QueryRequest& req) const {
@@ -251,40 +269,31 @@ QueryResponse SsspEngine::serve(const QueryRequest& req,
   return resp;
 }
 
+namespace {
+
+/// True when serving `req` reconstructs at least one path, so it needs the
+/// transpose.
+bool wants_paths(const QueryRequest& req) {
+  return req.want_paths &&
+         (req.kind == RequestKind::kTopK || !req.targets.empty());
+}
+
+}  // namespace
+
 void SsspEngine::serve(const QueryRequest& req, QueryContext& ctx,
                        QueryResponse& resp) const {
   validate(req);
   Graph local;
   // The transpose is only ever dereferenced for an actual result's path.
-  const bool paths = req.want_paths && (req.kind == RequestKind::kTopK ||
-                                        !req.targets.empty());
-  const Graph* tp = paths ? &transpose(local) : nullptr;
+  const Graph* tp = wants_paths(req) ? &transpose(local) : nullptr;
   run_serve(req, ctx, tp, resp);
 }
 
-std::vector<QueryResponse> SsspEngine::serve_batch(
-    const std::vector<QueryRequest>& requests) const {
-  const std::size_t batch = requests.size();
-  std::vector<QueryResponse> out(batch);
-  if (batch == 0) return out;
-
-  // Validate everything up front: nothing may throw inside the parallel
-  // region below.
-  bool any_paths = false;
-  for (const QueryRequest& req : requests) {
-    validate(req);
-    any_paths = any_paths ||
-                (req.want_paths && (req.kind == RequestKind::kTopK ||
-                                    !req.targets.empty()));
-  }
-  // All workers share the one cached transpose; build it before they run.
-  Graph local;
-  const Graph* tp = any_paths ? &transpose(local) : nullptr;
-
-  // Lease a warm context pool slot for this batch: try-lock an existing
-  // slot, or grow the slot set by one so every concurrent batch gets a
-  // dedicated pool that stays warm for future batches. Only a moved-from
-  // engine falls back to a cold batch-local pool.
+void SsspEngine::serve_stream(RequestFeed& feed, int width) const {
+  // Lease a warm context pool slot for this stream: try-lock an existing
+  // slot, or grow the slot set by one so every concurrent stream gets a
+  // dedicated pool that stays warm for future streams. Only a moved-from
+  // engine falls back to a cold local pool.
   WorkerPool<QueryContext> local_pool;
   WorkerPool<QueryContext>* leased = &local_pool;
   std::unique_lock<std::mutex> lease;
@@ -292,7 +301,7 @@ std::vector<QueryResponse> SsspEngine::serve_batch(
     BatchPools& pools = *batch_pools_;
     // grow_mutex also serializes the slot scan: deque growth never moves
     // existing slots, but the scan must not race the emplace itself. The
-    // critical section is tiny — try-locks never wait on a running batch.
+    // critical section is tiny — try-locks never wait on a running stream.
     std::lock_guard<std::mutex> grow(pools.grow_mutex);
     for (BatchPoolSlot& slot : pools.slots) {
       std::unique_lock<std::mutex> l(slot.mutex, std::try_to_lock);
@@ -309,34 +318,93 @@ std::vector<QueryResponse> SsspEngine::serve_batch(
     }
   }
   WorkerPool<QueryContext>& pool = *leased;
+  if (width < 1) width = 1;
+  pool.ensure(static_cast<std::size_t>(width));
 
-  const int nw = num_workers();
-  if (nw > 1 && batch >= static_cast<std::size_t>(nw)) {
-    // Request-parallel: one strictly sequential query per worker. Dynamic
-    // schedule — per-request cost varies with eccentricity and targets.
-    pool.ensure(static_cast<std::size_t>(nw));
-    for (int w = 0; w < nw; ++w) {
-      pool.at(static_cast<std::size_t>(w)).set_sequential(true);
+  // One worker's life in the team: run whatever the feed hands out until
+  // it hands out null. Every exception is caught here, per request, so
+  // none can leave the parallel region (which would terminate).
+  const auto work = [&](int worker) {
+    QueryContext& ctx = pool.at(static_cast<std::size_t>(worker));
+    QueryResponse resp;
+    Graph local;  // transpose fallback of a moved-from engine
+    while (const QueryRequest* req = feed.next(worker)) {
+      std::exception_ptr error;
+      try {
+        validate(*req);
+        run_serve(*req, ctx, wants_paths(*req) ? &transpose(local) : nullptr,
+                  resp);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      feed.done(worker, resp, error);
     }
-#pragma omp parallel for schedule(dynamic, 1) num_threads(nw)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(batch); ++i) {
-      QueryContext& ctx =
-          pool.at(static_cast<std::size_t>(omp_get_thread_num()));
-      run_serve(requests[static_cast<std::size_t>(i)], ctx, tp,
-                out[static_cast<std::size_t>(i)]);
-    }
-    return out;
+  };
+
+  if (width == 1) {
+    // The lone worker is the calling thread: with several workers each
+    // query keeps intra-query parallelism; with one the sequential engine
+    // twin skips atomics and OpenMP entirely.
+    pool.at(0).set_sequential(num_workers() <= 1);
+    work(0);
+    return;
   }
+  for (int w = 0; w < width; ++w) {
+    pool.at(static_cast<std::size_t>(w)).set_sequential(true);
+  }
+#pragma omp parallel num_threads(width)
+  work(omp_get_thread_num());
+}
 
-  // Batch narrower than the worker count (or one worker): sequential batch
-  // loop over one reused context. With several workers each query keeps
-  // intra-query parallelism; with one worker the sequential engine twin
-  // skips atomics and OpenMP entirely.
-  pool.ensure(1);
-  QueryContext& ctx = pool.at(0);
-  ctx.set_sequential(nw <= 1);
-  for (std::size_t i = 0; i < batch; ++i) {
-    run_serve(requests[i], ctx, tp, out[i]);
+std::vector<QueryResponse> SsspEngine::serve_batch(
+    const std::vector<QueryRequest>& requests) const {
+  std::vector<QueryResponse> out(requests.size());
+  if (requests.empty()) return out;
+  // Validate everything up front: a bad batch throws before anything runs.
+  for (const QueryRequest& req : requests) validate(req);
+
+  // Hands the requests out in input order to whichever worker asks next,
+  // and files each outcome under its request's index.
+  class VectorFeed final : public RequestFeed {
+   public:
+    VectorFeed(const std::vector<QueryRequest>& requests,
+               std::vector<QueryResponse>& out, int width)
+        : errors(requests.size()),
+          requests_(requests),
+          out_(out),
+          current_(static_cast<std::size_t>(width)) {}
+
+    const QueryRequest* next(int worker) noexcept override {
+      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= requests_.size()) return nullptr;
+      current_[static_cast<std::size_t>(worker)] = i;
+      return &requests_[i];
+    }
+
+    void done(int worker, QueryResponse& resp,
+              std::exception_ptr error) noexcept override {
+      const std::size_t i = current_[static_cast<std::size_t>(worker)];
+      if (error != nullptr) {
+        errors[i] = error;
+      } else {
+        out_[i] = std::move(resp);
+      }
+    }
+
+    std::vector<std::exception_ptr> errors;  // per request
+
+   private:
+    const std::vector<QueryRequest>& requests_;
+    std::vector<QueryResponse>& out_;
+    std::vector<std::size_t> current_;  // request index per worker
+    std::atomic<std::size_t> next_{0};
+  };
+
+  const int width = requests.size() == 1 ? 1 : num_workers();
+  VectorFeed feed(requests, out, width);
+  serve_stream(feed, width);
+  for (const std::exception_ptr& error : feed.errors) {
+    if (error != nullptr) std::rethrow_exception(error);
   }
   return out;
 }

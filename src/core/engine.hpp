@@ -14,10 +14,12 @@
 ///
 /// Serving hot path: serve() with a caller-owned QueryContext (and a
 /// reused QueryResponse) answers warm targeted requests with zero heap
-/// allocations; serve_batch() runs the multi-source regime preprocessing
-/// is amortized over (§5.4) with two-level parallelism —
-/// request-parallel across a per-worker context pool when the batch is at
-/// least as wide as the worker count, intra-query parallelism otherwise.
+/// allocations. serve_stream() runs the multi-source regime preprocessing
+/// is amortized over (§5.4): a team of workers, each running one strictly
+/// sequential query at a time on its own warm pooled context and pulling
+/// the next request from a RequestFeed as soon as its run ends — or, for a
+/// lone request, one query with intra-query parallelism. serve_batch() is
+/// the vector form of the same stream.
 ///
 /// Dynamic graphs: engines are immutable-after-publish snapshots. A live
 /// deployment wraps each engine in a shared_ptr, serves through
@@ -27,6 +29,7 @@
 #pragma once
 
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -41,6 +44,32 @@
 #include "shortcut/shortcut.hpp"
 
 namespace rs {
+
+/// The two ends of SsspEngine::serve_stream: a request source and a
+/// per-request sink, both called from the worker that runs the request.
+/// A feed is how a scheduler streams work into a team without a barrier
+/// between requests: serve_batch() feeds a vector, SsspServer feeds its
+/// admission queue.
+class RequestFeed {
+ public:
+  /// Hands idle `worker` its next request, or null once that worker should
+  /// leave the team. The request must stay valid until done(worker, ...).
+  /// Called concurrently by distinct workers; may block.
+  virtual const QueryRequest* next(int worker) noexcept = 0;
+
+  /// `worker`'s current request has finished: `resp` holds its answer, or
+  /// `error` is set (the request threw; `resp` is then unspecified). The
+  /// sink may move from `resp`.
+  virtual void done(int worker, QueryResponse& resp,
+                    std::exception_ptr error) noexcept = 0;
+
+ protected:
+  RequestFeed() = default;
+  ~RequestFeed() = default;
+  // Workers hold the feed's address for the whole stream.
+  RequestFeed(const RequestFeed&) = delete;
+  RequestFeed& operator=(const RequestFeed&) = delete;
+};
 
 /// Radius-Stepping SSSP engine over one preprocessed (k, rho)-graph
 /// snapshot (see file comment for the serving model).
@@ -98,27 +127,38 @@ class SsspEngine {
   void serve(const QueryRequest& req, QueryContext& ctx,
              QueryResponse& resp) const;
 
+  /// Serves every request `feed` hands out, with a team of `width`
+  /// workers. Each worker runs one strictly sequential query at a time on
+  /// its own warm context and reports it to feed.done() the moment its run
+  /// ends, then asks feed.next() for another; the call returns once every
+  /// worker has been handed null. A width of 1 serves on the calling
+  /// thread and lets each query use intra-query parallelism instead — the
+  /// form for a lone request, where no team-mate could help.
+  ///
+  /// Nothing thrown while serving a request leaves the team: the request
+  /// is validated, and any exception it raises (invalid_argument,
+  /// bad_alloc, ...) is reported as that request's `error`, after its
+  /// context has been restored for the next query. Thread-safe: each
+  /// concurrent stream leases its own warm context-pool slot (the slot set
+  /// grows to the peak concurrency and stays warm). Path reconstruction
+  /// shares the cached transpose.
+  void serve_stream(RequestFeed& feed, int width) const;
+
   /// One response per request, in input order, bit-identical to per-
   /// request serve() calls. Requests may mix sources, target sets, flags,
-  /// and engines.
-  ///
-  /// Scheduling: with W workers and B requests, B >= W runs
-  /// request-parallel (one strictly sequential query per worker, contexts
-  /// from an internal per-worker pool); B < W keeps the batch loop
-  /// sequential and lets each query use intra-query parallelism.
-  /// Thread-safe: each concurrent batch leases its own warm context-pool
-  /// slot (the slot set grows to the peak concurrency and stays warm), so
-  /// a serving daemon running parallel micro-batches never re-pays
-  /// context construction. Path reconstruction shares the cached
-  /// transpose (built once, before the parallel region).
+  /// and engines. Validates every request first (std::invalid_argument,
+  /// before anything runs), then streams them through serve_stream() with
+  /// a team of num_workers() — or as a lone request when there is one —
+  /// and rethrows the first request's failure, if any, after the rest
+  /// have been answered.
   std::vector<QueryResponse> serve_batch(
       const std::vector<QueryRequest>& requests) const;
 
   /// Throws std::invalid_argument unless source, every target, and the
-  /// engine choice are valid for this preprocessing. serve/serve_batch
-  /// call it implicitly; admission layers (serve/server.hpp) call it at
-  /// accept time so one bad request is rejected on its own instead of
-  /// failing the micro-batch it would have been coalesced into.
+  /// engine choice are valid for this preprocessing. serve, serve_stream
+  /// and serve_batch call it implicitly; admission layers
+  /// (serve/server.hpp) call it at accept time so a bad request is
+  /// rejected at the edge, before it is queued.
   void validate(const QueryRequest& req) const;
 
   /// The input graph (no shortcuts) — the one paths are expressed in.
@@ -153,9 +193,10 @@ class SsspEngine {
   const FragmentedGraph& fragments() const { return *fragments_; }
 
  private:
-  /// Request execution into `resp`. Validation must have happened already
-  /// — this is the noexcept-in-practice body run inside parallel regions.
-  /// `transpose` must be non-null when req.want_paths.
+  /// Request execution into `resp`. Validation must have happened already.
+  /// On an exception the context's all-infinite invariant is restored
+  /// before it propagates. `transpose` must be non-null when the request
+  /// wants paths.
   void run_serve(const QueryRequest& req, QueryContext& ctx,
                  const Graph* transpose, QueryResponse& resp) const;
 
@@ -179,20 +220,16 @@ class SsspEngine {
   PartitionMode fragment_mode_ = PartitionMode::kContiguous;
   std::uint64_t graph_epoch_ = 1;
 
-  // Reusable per-worker context pools for serve_batch, boxed so the
-  // engine stays movable despite the mutexes. Each concurrent batch
-  // LEASES one slot for its duration: serve_batch try-locks the existing
+  // Reusable per-worker context pools for serve_stream, boxed so the
+  // engine stays movable despite the mutexes. Each concurrent stream
+  // LEASES one slot for its duration: serve_stream try-locks the existing
   // slots and, when all are busy, grows the set by one — so N concurrent
-  // batches end up with N dedicated pools that each stay warm for the
-  // next batch to lease. (The pre-PR6 design had a single slot whose
-  // try-lock loser fell back to a cold batch-local pool: under a serving
-  // daemon running concurrent micro-batches that re-paid full context
-  // construction on every collision.) Slots live in a deque so growth
-  // never moves a leased slot; the scan-or-grow runs under grow_mutex,
-  // which is never held while waiting on a slot (try-lock only), so
-  // acquisition cannot deadlock or block behind a running batch. Null
-  // only in a moved-from engine, which serve_batch tolerates by using a
-  // batch-local pool.
+  // streams end up with N dedicated pools that each stay warm for the
+  // next stream to lease. Slots live in a deque so growth never moves a
+  // leased slot; the scan-or-grow runs under grow_mutex, which is never
+  // held while waiting on a slot (try-lock only), so acquisition cannot
+  // deadlock or block behind a running stream. Null only in a moved-from
+  // engine, which serve_stream tolerates by using a stream-local pool.
   struct BatchPoolSlot {
     std::mutex mutex;
     WorkerPool<QueryContext> pool;

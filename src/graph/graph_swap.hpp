@@ -7,8 +7,8 @@
 /// core that makes this safe without a reader-side lock:
 ///
 ///  * readers call pin() and get a shared_ptr that keeps THEIR snapshot
-///    alive for as long as they hold it — a micro-batch pins once and
-///    serves every request in the batch from one consistent snapshot;
+///    alive for as long as they hold it — a serving team pins once and
+///    serves every request it takes from one consistent snapshot;
 ///  * the writer prepares the replacement off to the side, then publishes
 ///    it with a single atomic pointer store. Readers that pinned before
 ///    the publish finish on the old snapshot; readers that pin after get

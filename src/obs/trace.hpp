@@ -9,9 +9,11 @@
 ///     admission    validate + cache consult + enqueue, on the client
 ///                  thread
 ///     queue_wait   enqueued -> popped by a batcher
-///     batch_form   popped -> micro-batch handed to the engine (the
-///                  coalescing window this request waited through)
-///     engine       SsspEngine::serve_batch for the request's batch
+///     batch_form   popped -> its run starts on a team worker (for a
+///                  team's first request, the batch budget it waited
+///                  through)
+///     engine       the request's own engine run (SsspEngine::
+///                  serve_stream), team-mates excluded
 ///     respond      engine done -> promise fulfilled (cache publication,
 ///                  row reads, completion bookkeeping)
 ///   depth 1 (inside `engine`; duration-only — their start is the engine
@@ -45,8 +47,8 @@ namespace rs::obs {
 enum class SpanId : std::uint8_t {
   kAdmission,  ///< submit(): validate + cache consult + enqueue.
   kQueueWait,  ///< BoundedQueue residence time.
-  kBatchForm,  ///< Micro-batch coalescing window.
-  kEngine,     ///< serve_batch for the request's micro-batch.
+  kBatchForm,  ///< Popped -> run starts (the batch budget, for a seed).
+  kEngine,     ///< The request's own engine run, team-mates excluded.
   kRespond,    ///< Engine done -> promise fulfilled.
   kCacheHit,   ///< Synchronous cached answer at submit time.
   kRelax,      ///< Engine detail: relaxation substeps.

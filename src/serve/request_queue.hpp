@@ -8,12 +8,13 @@
 // status instead of queueing unboundedly and blowing the tail latency of
 // everything behind it).
 //
-// Consumers get two pops: a blocking pop() for the first request of a
-// micro-batch (nothing to do until work arrives) and a deadline-bounded
-// try_pop_until() for the coalescing window (wait at most until the batch
-// budget expires). close() wakes everyone; pops drain whatever is still
-// buffered before reporting closed, so shutdown never drops an accepted
-// request.
+// Consumers get three pops: a blocking pop() for the first request of a
+// batch (nothing to do until work arrives), a deadline-bounded
+// try_pop_until() for the batch budget (wait at most until it expires),
+// and pop_for() for the members of a serving team, which pull requests
+// one at a time until the team is over (see Team). close() wakes
+// everyone; pops drain whatever is still buffered before reporting
+// closed, so shutdown never drops an accepted request.
 //
 // A mutex + condvar ring, not a lock-free queue, on purpose: the critical
 // section is a handful of instructions, contention is bounded by the
@@ -72,6 +73,57 @@ class BoundedQueue {
     not_empty_.wait_until(lock, deadline,
                           [&] { return count_ > 0 || closed_; });
     return pop_locked(out);
+  }
+
+  /// Bookkeeping of one consumer team draining the queue together: the
+  /// serving team of serve/server.hpp, whose members each pull their next
+  /// item the moment they finish the last. Guarded by the queue's lock;
+  /// touch it only through pop_for() and finish() once members run.
+  struct Team {
+    std::size_t limit = 0;    ///< Items the team may take in all.
+    std::size_t taken = 0;    ///< Items taken so far (seeds included).
+    std::size_t busy = 0;     ///< Items held by members, not yet finished.
+    std::size_t waiting = 0;  ///< Members blocked in pop_for().
+    bool over = false;        ///< Sticky: no member takes another item.
+  };
+
+  /// Team pop, called by a member of `team` that holds no item. Returns
+  /// true with the next item (the member now holds it, until finish()),
+  /// or false once the team is over: it has taken `limit` items, or the
+  /// queue is empty (or closed and drained) while no member holds one.
+  /// An idle member blocks while the queue is empty and a team-mate is
+  /// still busy, since an arrival or that mate's end may come next.
+  bool pop_for(Team& team, T& out) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++team.waiting;
+    not_empty_.wait(lock, [&] {
+      return count_ > 0 || closed_ || team.busy == 0 || team.over ||
+             team.taken >= team.limit;
+    });
+    --team.waiting;
+    if (!team.over && team.taken < team.limit && pop_locked(out)) {
+      ++team.taken;
+      ++team.busy;
+      return true;
+    }
+    team.over = true;
+    // Idle mates must leave too, and a push whose wake-up this member
+    // consumed must reach a consumer outside the team.
+    const bool wake = team.waiting > 0 || count_ > 0;
+    lock.unlock();
+    if (wake) not_empty_.notify_all();
+    return false;
+  }
+
+  /// A member of `team` has finished the item it held. When it was the
+  /// last busy one, idle mates are woken to see whether the team is over.
+  void finish(Team& team) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      --team.busy;
+      if (team.busy != 0 || team.waiting == 0) return;
+    }
+    not_empty_.notify_all();
   }
 
   /// Rejects all future pushes and wakes every blocked pop. Idempotent.

@@ -214,7 +214,7 @@ void answer_from_row(const QueryRequest& req, const CachedRow& row,
 /// owner's row. Non-eligible requests pass straight through to the
 /// engine. This is the single-threaded / test-harness entry point; the
 /// serving daemon (serve/server.hpp) integrates the same primitives
-/// around its micro-batching instead.
+/// into its serving teams instead.
 void cached_serve(const SsspEngine& engine, ResultCache& cache,
                   const QueryRequest& req, QueryContext& ctx,
                   QueryResponse& resp);

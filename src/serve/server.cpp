@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/export.hpp"
+#include "parallel/primitives.hpp"
 
 namespace rs::serve {
 
@@ -50,9 +51,9 @@ SsspServer::SsspServer(std::shared_ptr<const SsspEngine> engine,
                                           {{"reason", "shutdown"}},
                                           "Rejected requests by reason")),
       batches_(metrics_.counter("rs_batches_total", {},
-                                "serve_batch calls issued")),
+                                "Teams run, each under one engine pin")),
       max_batch_(metrics_.gauge("rs_batch_max_width", {},
-                                "Widest micro-batch so far")),
+                                "Most requests one team has served")),
       cache_hits_(metrics_.counter("rs_cache_hits_total", {},
                                    "Requests answered from a cached row")),
       cache_misses_(metrics_.counter(
@@ -111,7 +112,7 @@ SubmitStatus SsspServer::submit(QueryRequest req,
   // come from the same snapshot even if a swap lands mid-submit.
   const std::shared_ptr<const SsspEngine> eng = engine_.pin();
   // Validate at the edge: a bad request is rejected on its own, before it
-  // can be coalesced into (and poison) a micro-batch.
+  // is queued.
   try {
     eng->validate(req);
   } catch (const std::invalid_argument&) {
@@ -309,8 +310,8 @@ bool SsspServer::wait_not_paused() {
 }
 
 void SsspServer::batcher_loop() {
-  std::vector<Pending> batch;
-  batch.reserve(opts_.max_batch);
+  std::vector<Pending> seeds;
+  seeds.reserve(2);
   for (;;) {
     // Parked while paused — but once stopping, fall through and keep
     // draining: pop() below returns false only when closed AND empty.
@@ -319,26 +320,23 @@ void SsspServer::batcher_loop() {
     Pending first;
     if (!queue_.pop(first)) break;  // closed and fully drained
     if (marks_enabled_) first.t_popped = std::chrono::steady_clock::now();
-    batch.clear();
-    batch.push_back(std::move(first));
+    seeds.clear();
+    seeds.push_back(std::move(first));
 
-    // Coalesce: keep collecting until the budget expires or the batch is
-    // full. A zero budget turns the timed pop into a non-blocking drain
-    // of whatever is already buffered.
+    // The budget decides the shape: a request still alone when it expires
+    // runs with every worker on it; a second one opens a team. A zero
+    // budget turns the timed pop into a non-blocking check of the buffer.
     if (opts_.max_batch > 1) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + opts_.batch_budget;
-      Pending more;
-      while (batch.size() < opts_.max_batch &&
-             queue_.try_pop_until(more, deadline)) {
+      Pending second;
+      if (queue_.try_pop_until(
+              second, std::chrono::steady_clock::now() + opts_.batch_budget)) {
         if (marks_enabled_) {
-          more.t_popped = std::chrono::steady_clock::now();
+          second.t_popped = std::chrono::steady_clock::now();
         }
-        batch.push_back(std::move(more));
+        seeds.push_back(std::move(second));
       }
     }
-
-    execute(batch);
+    serve_team(seeds);
   }
 }
 
@@ -437,137 +435,185 @@ void SsspServer::complete(Pending& p, QueryResponse&& resp) {
   drain_cv_.notify_all();
 }
 
-void SsspServer::execute(std::vector<Pending>& batch) {
-  // One pin per micro-batch: every request in the batch is served from
-  // the same engine snapshot (a swap mid-batch affects only later
-  // batches), and the oracle is only consulted when it matches THAT
-  // snapshot's epoch — never a cross-epoch bound.
-  const std::shared_ptr<const SsspEngine> eng = engine_.pin();
-  const std::shared_ptr<const LandmarkOracle> orc = oracle_.pin();
-  // Assemble the engine batch: direct requests as-is (ALT-annotated when
-  // the oracle matches the current epoch), cache OWNERS upgraded to
-  // full-distance runs so their row can be published for every waiter.
-  // Waiters run nothing — their row is coming from an owner.
-  const bool use_oracle = orc != nullptr && orc->valid_for(*eng);
-  std::vector<QueryRequest> requests;
-  std::vector<std::size_t> exec_idx;  // batch index per engine request
-  requests.reserve(batch.size());
-  exec_idx.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Pending& p = batch[i];
-    switch (p.role) {
-      case CacheRole::kWaiter:
-        break;
-      case CacheRole::kOwner: {
-        QueryRequest full;
-        full.source = p.request.source;
-        full.engine = p.request.engine;
-        full.want_full_distances = true;
-        full.trace = p.request.trace;
-        exec_idx.push_back(i);
-        requests.push_back(std::move(full));
-        break;
+void SsspServer::fail(Pending& p, std::exception_ptr err) {
+  // Release an owned in-flight cache entry too: its waiters — in this
+  // team or another — inherit the failure through the shared future.
+  if (p.role == CacheRole::kOwner) cache_->fail(p.key, err);
+  p.promise.set_exception(err);
+  {
+    std::lock_guard<std::mutex> lock(drain_mutex_);
+    completed_.add(1, std::memory_order_release);
+  }
+  drain_cv_.notify_all();
+}
+
+/// One team's RequestFeed: its seeds first, then requests popped from the
+/// admission queue one at a time until the queue's Team bookkeeping says
+/// the team is over. Each request is answered in done(), the moment its
+/// own run ends.
+class SsspServer::Team final : public RequestFeed {
+ public:
+  Team(SsspServer& server, const LandmarkOracle* oracle,
+       std::vector<Pending>& seeds, std::size_t limit, int width)
+      : server_(server),
+        oracle_(oracle),
+        seeds_(seeds),
+        slots_(static_cast<std::size_t>(width)) {
+    // Seeds count as taken and held from the start, so no member can see
+    // an idle team before they are served.
+    team_.limit = limit;
+    team_.taken = seeds.size();
+    team_.busy = seeds.size();
+  }
+
+  const QueryRequest* next(int worker) noexcept override {
+    Slot& s = slots_[static_cast<std::size_t>(worker)];
+    for (;;) {
+      const std::size_t seed = next_seed_.fetch_add(1);
+      if (seed < seeds_.size()) {
+        s.p = std::move(seeds_[seed]);
+      } else if (server_.queue_.pop_for(team_, s.p)) {
+        if (server_.marks_enabled_) {
+          s.p.t_popped = std::chrono::steady_clock::now();
+        }
+      } else {
+        return nullptr;
       }
-      case CacheRole::kDirect: {
-        if (use_oracle) orc->annotate(p.request);
-        exec_idx.push_back(i);
-        requests.push_back(std::move(p.request));
-        break;
+      const QueryRequest* req = prepare(s);
+      if (req != nullptr) {
+        if (server_.marks_enabled_) {
+          s.p.t_exec = std::chrono::steady_clock::now();
+        }
+        return req;
       }
+      server_.queue_.finish(team_);  // answered without an engine run
     }
   }
 
-  const auto finish_error = [&](Pending& p, std::exception_ptr err) {
-    if (p.role == CacheRole::kOwner) cache_->fail(p.key, err);
-    p.promise.set_exception(err);
-    {
-      std::lock_guard<std::mutex> lock(drain_mutex_);
-      completed_.add(1, std::memory_order_release);
+  void done(int worker, QueryResponse& resp,
+            std::exception_ptr error) noexcept override {
+    Pending& p = slots_[static_cast<std::size_t>(worker)].p;
+    if (server_.marks_enabled_) {
+      p.t_engine_done = std::chrono::steady_clock::now();
     }
-    drain_cv_.notify_all();
-  };
-
-  if (marks_enabled_) {
-    const auto t_exec = std::chrono::steady_clock::now();
-    for (Pending& p : batch) p.t_exec = t_exec;
-  }
-  std::vector<QueryResponse> responses;
-  bool failed = false;
-  if (!requests.empty()) {
-    try {
-      responses = eng->serve_batch(requests);
-    } catch (...) {
-      // Requests were validated at admission, so this is unexpected (e.g.
-      // bad_alloc) — but every promise must still be completed, and every
-      // owned in-flight cache entry released (its waiters — here or in
-      // other batches — inherit the failure through the shared future).
-      failed = true;
-      const std::exception_ptr err = std::current_exception();
-      for (const std::size_t i : exec_idx) finish_error(batch[i], err);
-    }
-    batches_.add();
-    max_batch_.record_max(static_cast<double>(requests.size()));
-  }
-  if (marks_enabled_) {
-    const auto t_done = std::chrono::steady_clock::now();
-    for (Pending& p : batch) p.t_engine_done = t_done;
-  }
-
-  if (!failed) {
-    for (std::size_t j = 0; j < exec_idx.size(); ++j) {
-      Pending& p = batch[exec_idx[j]];
-      QueryResponse& r = responses[j];
-      if (p.role == CacheRole::kOwner) {
-        // Publish the row FIRST (waiters in this very batch read it just
-        // below), then answer the owner's original targeted request from
-        // it — the owner computed, so served_from_cache stays false.
+    if (error == nullptr && p.role == CacheRole::kOwner) {
+      try {
+        // Publish the row FIRST, then answer the owner's original
+        // targeted request from it — the owner computed, so
+        // served_from_cache stays false.
         auto row = std::make_shared<CachedRow>();
         row->source = p.request.source;
-        row->graph_epoch = r.graph_epoch;
-        row->dist = std::move(r.dist);
-        row->stats = r.stats;
-        cache_->fulfill(p.key, row);
-        QueryResponse resp;
-        answer_from_row(p.request, *row, resp);
-        resp.served_from_cache = false;
-        complete(p, std::move(resp));
-      } else {
-        complete(p, std::move(r));
+        row->graph_epoch = resp.graph_epoch;
+        row->dist = std::move(resp.dist);
+        row->stats = resp.stats;
+        server_.cache_->fulfill(p.key, row);
+        QueryResponse answer;
+        answer_from_row(p.request, *row, answer);
+        answer.served_from_cache = false;
+        complete(p, std::move(answer));
+      } catch (...) {
+        error = std::current_exception();
       }
+    } else if (error == nullptr) {
+      complete(p, std::move(resp));
     }
+    if (error != nullptr) fail(p, error);
+    server_.queue_.finish(team_);
   }
 
-  // Waiters last: their owner was either fulfilled above or lives in
-  // another micro-batch. A ready future is the single-flight win; a
-  // non-ready one means the owner is still queued — possibly behind THIS
-  // batcher — so blocking could deadlock: serve directly instead (the
-  // duplicated computation is the price of never stalling the pipeline).
-  for (Pending& p : batch) {
-    if (p.role != CacheRole::kWaiter) continue;
+ private:
+  struct Slot {
+    Pending p;         // the request this worker holds
+    QueryRequest run;  // what the engine runs for a cache owner
+  };
+
+  /// The request to run for the slot's Pending, or null when it was
+  /// answered here without an engine run.
+  const QueryRequest* prepare(Slot& s) noexcept {
+    Pending& p = s.p;
     try {
-      if (p.pending_row.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready) {
-        const RowPtr row = p.pending_row.get();  // rethrows owner failure
-        QueryResponse resp;
-        answer_from_row(p.request, *row, resp);
-        // The shared row replaced the engine run: zero-width engine span,
-        // the row read lands in `respond`.
-        if (marks_enabled_) {
-          p.t_engine_done = p.t_exec = std::chrono::steady_clock::now();
-        }
-        complete(p, std::move(resp));
-      } else {
-        if (marks_enabled_) p.t_exec = std::chrono::steady_clock::now();
-        QueryResponse resp = eng->serve(p.request);
-        if (marks_enabled_) {
-          p.t_engine_done = std::chrono::steady_clock::now();
-        }
-        complete(p, std::move(resp));
+      switch (p.role) {
+        case CacheRole::kDirect:
+          // ALT bounds only from the oracle of this team's engine
+          // snapshot.
+          if (oracle_ != nullptr) oracle_->annotate(p.request);
+          return &p.request;
+        case CacheRole::kOwner:
+          // Upgraded to a full-distance run whose row every waiter reuses.
+          s.run.source = p.request.source;
+          s.run.engine = p.request.engine;
+          s.run.want_full_distances = true;
+          s.run.trace = p.request.trace;
+          return &s.run;
+        case CacheRole::kWaiter:
+          break;
       }
+      // A ready row is the single-flight win. A row not ready means the
+      // owner is still queued or running — possibly behind this very
+      // team — so blocking could deadlock: run the request on this
+      // worker's warm context instead (the duplicated computation is the
+      // price of never stalling the team).
+      if (p.pending_row.wait_for(std::chrono::seconds(0)) !=
+          std::future_status::ready) {
+        return &p.request;
+      }
+      const RowPtr row = p.pending_row.get();  // rethrows owner failure
+      QueryResponse resp;
+      answer_from_row(p.request, *row, resp);
+      // The shared row replaced the engine run: zero-width engine span,
+      // the row read lands in `respond`.
+      if (server_.marks_enabled_) {
+        p.t_engine_done = p.t_exec = std::chrono::steady_clock::now();
+      }
+      complete(p, std::move(resp));
     } catch (...) {
-      finish_error(p, std::current_exception());
+      fail(p, std::current_exception());
     }
+    return nullptr;
   }
+
+  // Completion through the server, after widening the team's width gauge
+  // so the gauge is current by the time a drain() sees the completion.
+  void complete(Pending& p, QueryResponse&& resp) noexcept {
+    count_served();
+    server_.complete(p, std::move(resp));
+  }
+  void fail(Pending& p, std::exception_ptr err) noexcept {
+    count_served();
+    server_.fail(p, std::move(err));
+  }
+  void count_served() noexcept {
+    server_.max_batch_.record_max(static_cast<double>(
+        served_.fetch_add(1, std::memory_order_relaxed) + 1));
+  }
+
+  SsspServer& server_;
+  const LandmarkOracle* oracle_;  // null unless it matches the engine
+  std::vector<Pending>& seeds_;
+  std::atomic<std::size_t> next_seed_{0};
+  std::atomic<std::size_t> served_{0};
+  BoundedQueue<Pending>::Team team_;  // guarded by the queue's lock
+  std::vector<Slot> slots_;           // one per worker
+};
+
+void SsspServer::serve_team(std::vector<Pending>& seeds) {
+  // One pin per team: every request it serves runs on the same engine
+  // snapshot (a swap mid-team affects only later teams), and the oracle
+  // is only consulted when it matches THAT snapshot's epoch — never a
+  // cross-epoch bound.
+  const std::shared_ptr<const SsspEngine> eng = engine_.pin();
+  const std::shared_ptr<const LandmarkOracle> orc = oracle_.pin();
+  const bool use_oracle = orc != nullptr && orc->valid_for(*eng);
+  // A lone request gets every worker through intra-query parallelism and
+  // takes nothing from the queue; otherwise each worker serves one
+  // request at a time, up to max_batch in all (which bounds how long one
+  // pin is held).
+  const bool lone = seeds.size() == 1;
+  const int width = lone ? 1 : num_workers();
+  Team team(*this, use_oracle ? orc.get() : nullptr, seeds,
+            lone ? 1 : opts_.max_batch, width);
+  batches_.add();  // before any completion, so a drain() sees it
+  eng->serve_stream(team, width);
 }
 
 std::string format_stats_line(const SsspServer& server) {

@@ -17,29 +17,36 @@
 ///
 /// \verbatim
 ///   client threads ──submit()──► BoundedQueue ──pop──► batcher thread(s)
-///        │ validate + admission      (backpressure)      │ coalesce up to
-///        │ control at the edge                           │ max_batch within
-///        ▼                                               ▼ batch_budget
-///   SubmitStatus / future ◄──promise◄── engine.serve_batch(micro-batch)
+///        │ validate + admission      (backpressure)  │    │ first request,
+///        │ control at the edge                       │    ▼ + budget wait
+///        │                                pop_for()  │  team of workers
+///        ▼                                           └──► (each: one
+///   SubmitStatus / future ◄──promise◄── its own run ends ◄─ query at a time)
 /// \endverbatim
 ///
-/// Micro-batching: a batcher blocks for the first request, then keeps
-/// collecting until the batch budget expires or max_batch is reached, and
-/// hands the whole batch to SsspEngine::serve_batch — which runs it
-/// request-parallel over a leased warm context pool. The budget trades a
-/// bounded latency add-on (at most batch_budget of waiting) for the batch
-/// throughput regime the paper's preprocessing is amortized over (§5.4):
-/// under load the window fills instantly and the budget costs nothing;
-/// when idle a lone request waits out at most one budget.
+/// Work-conserving teams: a batcher blocks for the first request, then
+/// waits up to batch_budget for a second. A request still alone when the
+/// budget expires runs by itself with intra-query parallelism. Otherwise
+/// the batcher opens a team of num_workers() workers under one engine (and
+/// oracle) pin, through SsspEngine::serve_stream: each worker serves one
+/// request at a time on its own warm sequential context, fulfills that
+/// request's promise the moment its run ends, and pulls the next request
+/// straight from the queue. No answer waits for a slower team-mate, and a
+/// free worker never waits for a batch to form. The team ends when the
+/// queue is empty and every worker is idle, or once it has served
+/// max_batch requests (which bounds how long one snapshot pin is held);
+/// an idle worker waits by blocking on the queue, never by spinning.
+/// Under load the budget costs nothing (the second request is already
+/// queued); when idle a lone request waits out at most one budget.
 ///
 /// Admission control: requests are validated at submit time (kInvalid) so
-/// a bad request is rejected alone instead of poisoning its micro-batch,
-/// and the bounded queue sheds load (kQueueFull) instead of queueing
-/// without limit. Both rejections are cheap constant-time paths.
+/// a bad request is rejected alone before it reaches a team, and the
+/// bounded queue sheds load (kQueueFull) instead of queueing without
+/// limit. Both rejections are cheap constant-time paths.
 ///
 /// Live graph swaps: the server holds its engine in a SnapshotSwap (the
 /// RCU pattern of graph/graph_swap.hpp). Every submit and
-/// every micro-batch pins the pointer ONCE and serves entirely from that
+/// every team pins the pointer ONCE and serves entirely from that
 /// snapshot, so swap_engine() can publish a successor (built with
 /// SsspEngine::next_epoch) mid-traffic: in-flight work finishes on the
 /// old epoch, new work starts on the new one, and no request ever
@@ -50,7 +57,8 @@
 /// drives drain() — block until everything admitted so far has completed
 /// — and shutdown() = stop admitting, close the queue (buffered requests
 /// still drain), join the batchers. A request's promise is always
-/// completed: with a response, or with an exception if its batch failed.
+/// completed: with a response, or with the exception its own run raised —
+/// a failing request never fails its team-mates.
 ///
 /// Every completion records end-to-end latency (submit to promise
 /// fulfillment, queueing and coalescing included — the number a client
@@ -62,6 +70,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -99,17 +108,18 @@ struct ServerOptions {
   /// Admission buffer depth; pushes beyond it are rejected kQueueFull.
   std::size_t queue_capacity = 1024;
 
-  /// Micro-batch size cap. 1 disables coalescing entirely.
+  /// Most requests one team (batch) serves under one engine pin. 1 never
+  /// opens a team: every request runs alone.
   std::size_t max_batch = 64;
 
-  /// How long a batcher keeps collecting after the first request of a
-  /// micro-batch. Zero means "grab whatever is already queued, never
-  /// wait" — coalescing without any latency add-on.
+  /// How long a batcher waits for a second request after the first one
+  /// before running the first alone. Zero means "look at what is already
+  /// queued, never wait".
   std::chrono::microseconds batch_budget{200};
 
-  /// Number of batcher threads pulling micro-batches concurrently. Each
-  /// concurrent batch leases its own warm context pool inside the engine,
-  /// so >1 batchers trade per-batch width for pipeline overlap.
+  /// Number of batcher threads, each running its own teams. Each
+  /// concurrent team leases its own warm context pool inside the engine;
+  /// more than one batcher oversubscribes the workers.
   int batchers = 1;
 
   /// Start with batchers parked (see pause()). Requests queue but are not
@@ -160,8 +170,8 @@ struct ServerStats {
   std::uint64_t rejected_invalid = 0;   ///< kInvalid rejections.
   std::uint64_t rejected_shutdown = 0;  ///< kShuttingDown rejections.
   std::uint64_t completed = 0;          ///< Promises fulfilled.
-  std::uint64_t batches = 0;            ///< serve_batch calls issued.
-  std::uint64_t max_batch = 0;          ///< Widest micro-batch so far.
+  std::uint64_t batches = 0;            ///< Teams run (lone runs too).
+  std::uint64_t max_batch = 0;          ///< Most requests one team served.
   std::uint64_t cache_hits = 0;         ///< Answered from a cached row.
   std::uint64_t cache_misses = 0;       ///< Owner + single-flight-waiter
                                         ///< acquisitions (0, cache off).
@@ -180,7 +190,7 @@ struct ServerStats {
 
   /// Requests admitted but not yet completed (queued or being served).
   std::uint64_t in_flight() const { return accepted - completed; }
-  /// Mean micro-batch width — the coalescing factor under load.
+  /// Mean requests per team — how long teams stay open under load.
   double mean_batch() const {
     return batches == 0 ? 0.0
                         : static_cast<double>(completed) /
@@ -216,16 +226,16 @@ class SsspServer {
   SsspServer& operator=(const SsspServer&) = delete;
 
   /// Admission: validates, then enqueues. On kAccepted, `result` is a
-  /// future fulfilled when the request's micro-batch completes (with the
-  /// response, or the batch's exception). On any rejection `result` is
-  /// untouched and nothing was enqueued.
+  /// future fulfilled the moment the request's own run ends (with the
+  /// response, or the exception that run raised). On any rejection
+  /// `result` is untouched and nothing was enqueued.
   SubmitStatus submit(QueryRequest req, std::future<QueryResponse>& result);
 
   /// Convenience blocking call: submit + wait. Throws std::runtime_error
   /// on admission rejection (message names the SubmitStatus).
   QueryResponse serve_sync(QueryRequest req);
 
-  /// Parks the batchers after their current micro-batch: admitted
+  /// Parks the batchers after their current team: admitted
   /// requests keep queueing but none are served until resume(). The
   /// deterministic-test hook (fill the queue, assert coalescing) and an
   /// operational pressure valve (e.g. while swapping the engine).
@@ -281,7 +291,7 @@ class SsspServer {
   std::shared_ptr<const SsspEngine> engine_snapshot() const;
 
   /// Publishes `next` as the engine for all FUTURE work, mid-traffic and
-  /// without a quiescent point: in-flight submits and micro-batches
+  /// without a quiescent point: in-flight submits and teams
   /// finish on the snapshot they pinned; the old engine is destroyed when
   /// its last pin drops. Purges cache rows of epochs older than `next`'s
   /// (a stale key can never match again — free its memory eagerly) and
@@ -316,14 +326,21 @@ class SsspServer {
     std::chrono::steady_clock::time_point t_engine_done{};
   };
 
+  class Team;
+
   void batcher_loop();
-  /// Serves one micro-batch and fulfills its promises. Never throws.
-  void execute(std::vector<Pending>& batch);
+  /// Runs one team over `seeds` (one seed: a lone request) and whatever
+  /// it pulls from the queue, fulfilling each promise as its run ends.
+  /// Never throws.
+  void serve_team(std::vector<Pending>& seeds);
   /// Blocks while paused. Returns false when the server is stopping.
   bool wait_not_paused();
 
   /// Completes one request (latency record + promise + drain counters).
   void complete(Pending& p, QueryResponse&& resp);
+  /// Completes one request with `err` (and fails its cache entry when it
+  /// owns one).
+  void fail(Pending& p, std::exception_ptr err);
 
   /// Builds the traced span breakdown (and serves the slow-query log)
   /// for one completing request. `now` is the completion instant.
@@ -331,8 +348,8 @@ class SsspServer {
                       std::chrono::steady_clock::time_point now,
                       std::uint64_t e2e_us);
 
-  // The published engine snapshot: submit pins once per request, execute
-  // pins once per micro-batch, and swap_engine publishes a successor.
+  // The published engine snapshot: submit pins once per request,
+  // serve_team once per team, and swap_engine publishes a successor.
   // Never null after construction.
   SnapshotSwap<SsspEngine> engine_;
   const ServerOptions opts_;

@@ -1,4 +1,4 @@
-// Batch-serving equivalence suite: serve_batch's two-level scheduler and
+// Batch-serving equivalence suite: serve_batch's team of workers and
 // the reusable QueryContext must be invisible to callers — batched results
 // bit-identical to sequential per-source queries, warm contexts identical
 // to fresh ones, sequential engine twins identical to the parallel ones —
@@ -76,8 +76,8 @@ TEST(QueryBatch, MatchesSequentialQueriesOnWeightedSuite) {
     const std::vector<QueryRequest> requests = full_requests(sources);
     const std::vector<QueryResponse> ref = serve_each(engine, requests);
 
-    // 1 worker: sequential-twin batch loop; 3 workers: batch narrower than
-    // 8 sources -> source-parallel; 8+: dynamic schedule with idle workers.
+    // 1 worker: the sequential twin on the calling thread; 3 workers: a
+    // team pulling 8 sources; 8: a team as wide as the batch.
     for (const int nw : {1, 3, 8}) {
       set_num_workers(nw);
       const auto batch = engine.serve_batch(requests);
@@ -134,7 +134,7 @@ TEST(QueryBatch, UnweightedEngineBatchMatches) {
 }
 
 TEST(QueryBatch, BstEnginesBatchMatchesSequentialAcrossWorkers) {
-  // kBst runs through the same two-level scheduler as the flat engine,
+  // kBst runs through the same team of workers as the flat engine,
   // with per-worker warm contexts. Batched results must be bit-identical
   // to fresh per-source queries, and the schedule-independent stats must
   // survive the sequential twin.

@@ -8,9 +8,10 @@
 //    the overflowing request), an out-of-range request with kInvalid
 //    (validated at the edge, never coalesced into a batch), a stopped
 //    server with kShuttingDown;
-//  * micro-batching — N requests queued within one budget coalesce into
-//    ONE serve_batch call (asserted via ServerStats.batches), and
-//    coalescing is invisible in the answers;
+//  * teams — N requests queued within one budget are served by ONE team
+//    (asserted via ServerStats.batches), max_batch bounds a team, teams
+//    are invisible in the answers, each request is answered when its own
+//    run ends, and a request that throws in a team fails alone;
 //  * histogram — quantiles match a sorted-sample oracle within the
 //    documented 1/32 relative error, across magnitudes;
 //  * concurrency — many closed-loop clients against multiple batchers
@@ -38,9 +39,11 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/radii.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
 #include "obs/histogram.hpp"
+#include "parallel/primitives.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
 #include "shortcut/shortcut.hpp"
@@ -107,6 +110,46 @@ TEST(BoundedQueue, TimedPopHonorsDeadline) {
   EXPECT_TRUE(q.try_pop_until(
       out, std::chrono::steady_clock::now()));  // past deadline, non-blocking
   EXPECT_EQ(out, 9);
+}
+
+TEST(BoundedQueue, TeamPopServesArrivalsUntilEveryMemberIsIdle) {
+  BoundedQueue<int> q(8);
+  BoundedQueue<int>::Team team;
+  team.limit = 8;
+  team.taken = 1;  // one seed, held by the test thread (member 0)
+  team.busy = 1;
+  std::atomic<int> served{0};
+  std::thread member1([&] {  // holds nothing: waits for arrivals
+    int item = 0;
+    while (q.pop_for(team, item)) {
+      served.fetch_add(1);
+      q.finish(team);
+    }
+  });
+  // While member 0 is busy, arrivals go to the idle member at once.
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.try_push(int{i}));
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(10);
+  while (served.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(served.load(), 3);
+  // Member 0 finishes its seed: the queue is empty and nobody is busy, so
+  // the team is over for both members.
+  q.finish(team);
+  int item = 0;
+  EXPECT_FALSE(q.pop_for(team, item));
+  member1.join();
+  EXPECT_EQ(team.taken, 4u);
+
+  // A team stops at its limit, leaving the rest queued.
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(int{i}));
+  BoundedQueue<int>::Team capped;
+  capped.limit = 2;
+  EXPECT_TRUE(q.pop_for(capped, item));
+  EXPECT_TRUE(q.pop_for(capped, item));
+  EXPECT_FALSE(q.pop_for(capped, item));
+  EXPECT_EQ(q.size(), 3u);
 }
 
 TEST(Server, DrainWithRequestsInFlightThenShutdown) {
@@ -226,9 +269,8 @@ TEST(Server, TinyRequestsWithinBudgetCoalesceIntoOneBatch) {
   ServerOptions opts;
   opts.start_paused = true;
   opts.max_batch = 32;
-  // Zero budget: the batcher grabs exactly what is already buffered and
-  // never waits — with everything queued before resume, that is one
-  // deterministic micro-batch.
+  // Zero budget: the batcher never waits — with everything queued before
+  // resume, one team drains the whole buffer, deterministically.
   opts.batch_budget = std::chrono::microseconds(0);
   opts.batchers = 1;
   SsspServer server(engine, opts);
@@ -244,7 +286,7 @@ TEST(Server, TinyRequestsWithinBudgetCoalesceIntoOneBatch) {
 
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.batches, 1u) << "coalescing failed: " << stats.batches
-                               << " serve_batch calls for " << kRequests
+                               << " teams for " << kRequests
                                << " buffered requests";
   EXPECT_EQ(stats.max_batch, kRequests);
   EXPECT_DOUBLE_EQ(stats.mean_batch(), static_cast<double>(kRequests));
@@ -273,6 +315,52 @@ TEST(Server, MaxBatchBoundsCoalescing) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.max_batch, 4u);
   EXPECT_EQ(stats.batches, 3u);  // 4 + 4 + 2
+}
+
+TEST(Server, RequestFailingInATeamFailsAlone) {
+  // A request admitted under one engine can become invalid under the
+  // successor a swap publishes before its team pins: here an unweighted-
+  // engine request meets a graph that has gained shortcuts. It must fail
+  // its own future only; its team-mates are answered exactly.
+  const Graph g = gen::road_network(12, 12, 3);  // unit weights
+  PreprocessOptions plain;
+  plain.heuristic = ShortcutHeuristic::kNone;
+  auto first = std::make_shared<const SsspEngine>(g, plain);
+  PreprocessOptions shortcuts;
+  shortcuts.rho = 12;
+  shortcuts.k = 2;
+  auto second = std::make_shared<const SsspEngine>(
+      SsspEngine::next_epoch(*first, g, preprocess(g, shortcuts)));
+
+  QueryRequest unweighted = p2p(*first, 0);
+  unweighted.engine = QueryEngine::kUnweighted;
+  first->validate(unweighted);
+  ASSERT_THROW(second->validate(unweighted), std::invalid_argument);
+
+  ServerOptions opts;
+  opts.start_paused = true;
+  opts.batch_budget = std::chrono::microseconds(0);
+  SsspServer server(first, opts);
+  std::future<QueryResponse> bad;
+  ASSERT_EQ(server.submit(unweighted, bad), SubmitStatus::kAccepted);
+  std::vector<std::future<QueryResponse>> mates(5);
+  for (std::uint64_t i = 0; i < mates.size(); ++i) {
+    ASSERT_EQ(server.submit(p2p(*first, i + 1), mates[i]),
+              SubmitStatus::kAccepted);
+  }
+  server.swap_engine(second);
+  server.resume();
+  server.drain();
+
+  EXPECT_THROW(bad.get(), std::invalid_argument);
+  for (std::uint64_t i = 0; i < mates.size(); ++i) {
+    const QueryResponse got = mates[i].get();
+    EXPECT_EQ(got.graph_epoch, 2u);
+    EXPECT_EQ(got.targets[0].dist,
+              second->serve(p2p(*first, i + 1)).targets[0].dist);
+  }
+  EXPECT_EQ(server.stats().completed, 1 + mates.size());
+  EXPECT_EQ(server.stats().batches, 1u);
 }
 
 TEST(Server, ServeSyncThrowsOnRejection) {
@@ -660,6 +748,71 @@ TEST(Observability, TraceSampleOneSpansTileEndToEndLatency) {
   EXPECT_LE(spans_us, p100 + 2.0);
   EXPECT_GE(spans_us, p100 / (1.0 + 1.0 / 32.0) - 2.0);
   EXPECT_EQ(server.stats().traced, 1u);
+}
+
+TEST(Observability, TeamAnswersEachRequestWhenItsOwnRunEnds) {
+  // One team of two workers holds a full-distance request on a large
+  // graph and a top-k request. The top-k answer must not wait for its
+  // slow team-mate: it completes before the full run's engine span ends,
+  // and its own engine span is the shorter one. Both are read from the
+  // traces, so the check does not race the test thread; a few attempts
+  // ride out a host that descheduled the fast worker.
+  struct WorkerGuard {
+    int before = num_workers();
+    ~WorkerGuard() { set_num_workers(before); }
+  } guard;
+  set_num_workers(2);
+  const Graph g =
+      assign_uniform_weights(gen::road_network(250, 250, 4), 3, 1, 100);
+  PreprocessResult pre;
+  pre.graph = g;
+  pre.radius = constant_radii(g.num_vertices(), 25);
+  pre.options.heuristic = ShortcutHeuristic::kNone;
+  const SsspEngine engine(g, std::move(pre));
+
+  QueryRequest full;
+  full.source = 0;
+  full.want_full_distances = true;
+  QueryRequest topk;
+  topk.source = g.num_vertices() / 2;
+  topk.kind = RequestKind::kTopK;
+  topk.k = 4;
+
+  const auto span = [](const QueryResponse& r, obs::SpanId id) {
+    for (std::size_t i = 0; i < r.trace.size; ++i) {
+      if (r.trace.spans[i].id == id) return r.trace.spans[i];
+    }
+    ADD_FAILURE() << "no span " << obs::to_string(id);
+    return obs::TraceSpan{};
+  };
+  const auto end_ns = [](const QueryResponse& r, const obs::TraceSpan& s) {
+    return r.trace.origin_ns + s.start_ns + s.duration_ns;
+  };
+  bool answered_early = false;
+  for (int attempt = 0; attempt < 5 && !answered_early; ++attempt) {
+    ServerOptions opts;
+    opts.start_paused = true;
+    opts.batch_budget = std::chrono::microseconds(0);
+    opts.trace_sample = 1;
+    SsspServer server(engine, opts);
+    std::future<QueryResponse> full_fut, topk_fut;
+    ASSERT_EQ(server.submit(full, full_fut), SubmitStatus::kAccepted);
+    ASSERT_EQ(server.submit(topk, topk_fut), SubmitStatus::kAccepted);
+    server.resume();
+    const QueryResponse t = topk_fut.get();
+    const QueryResponse f = full_fut.get();
+    server.drain();
+    ASSERT_EQ(server.stats().batches, 1u);  // one team held both
+    ASSERT_EQ(t.targets.size(), 4u);
+    ASSERT_EQ(f.dist.size(), g.num_vertices());
+    const obs::TraceSpan t_engine = span(t, obs::SpanId::kEngine);
+    const obs::TraceSpan f_engine = span(f, obs::SpanId::kEngine);
+    answered_early =
+        end_ns(t, span(t, obs::SpanId::kRespond)) < end_ns(f, f_engine) &&
+        t_engine.duration_ns < f_engine.duration_ns;
+  }
+  EXPECT_TRUE(answered_early)
+      << "the top-k answer waited for its team-mate's full run";
 }
 
 TEST(Observability, TraceSamplingSelectsEveryNthRequest) {
