@@ -289,7 +289,9 @@ void SsspEngine::serve(const QueryRequest& req, QueryContext& ctx,
   run_serve(req, ctx, tp, resp);
 }
 
-void SsspEngine::serve_stream(RequestFeed& feed, int width) const {
+RequestFeed::RequestFeed(bool lone) : width_(lone ? 1 : num_workers()) {}
+
+void SsspEngine::serve_stream(RequestFeed& feed) const {
   // Lease a warm context pool slot for this stream: try-lock an existing
   // slot, or grow the slot set by one so every concurrent stream gets a
   // dedicated pool that stays warm for future streams. Only a moved-from
@@ -318,7 +320,7 @@ void SsspEngine::serve_stream(RequestFeed& feed, int width) const {
     }
   }
   WorkerPool<QueryContext>& pool = *leased;
-  if (width < 1) width = 1;
+  const int width = feed.width();
   pool.ensure(static_cast<std::size_t>(width));
 
   // One worker's life in the team: run whatever the feed hands out until
@@ -368,11 +370,12 @@ std::vector<QueryResponse> SsspEngine::serve_batch(
   class VectorFeed final : public RequestFeed {
    public:
     VectorFeed(const std::vector<QueryRequest>& requests,
-               std::vector<QueryResponse>& out, int width)
-        : errors(requests.size()),
+               std::vector<QueryResponse>& out)
+        : RequestFeed(requests.size() == 1),
+          errors(requests.size()),
           requests_(requests),
           out_(out),
-          current_(static_cast<std::size_t>(width)) {}
+          current_(static_cast<std::size_t>(width())) {}
 
     const QueryRequest* next(int worker) noexcept override {
       const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
@@ -400,9 +403,8 @@ std::vector<QueryResponse> SsspEngine::serve_batch(
     std::atomic<std::size_t> next_{0};
   };
 
-  const int width = requests.size() == 1 ? 1 : num_workers();
-  VectorFeed feed(requests, out, width);
-  serve_stream(feed, width);
+  VectorFeed feed(requests, out);
+  serve_stream(feed);
   for (const std::exception_ptr& error : feed.errors) {
     if (error != nullptr) std::rethrow_exception(error);
   }

@@ -63,12 +63,23 @@ class RequestFeed {
   virtual void done(int worker, QueryResponse& resp,
                     std::exception_ptr error) noexcept = 0;
 
+  /// Workers that serve this feed; worker ids run from 0 to width() - 1.
+  /// 1 for a lone request, otherwise num_workers() when the feed was
+  /// built — fixed for the feed's life, so per-worker state sized by it
+  /// stays in bounds.
+  int width() const { return width_; }
+
  protected:
-  RequestFeed() = default;
+  /// `lone`: the feed holds a single request, which no team-mate could
+  /// help with; it then runs with intra-query parallelism instead.
+  explicit RequestFeed(bool lone);
   ~RequestFeed() = default;
   // Workers hold the feed's address for the whole stream.
   RequestFeed(const RequestFeed&) = delete;
   RequestFeed& operator=(const RequestFeed&) = delete;
+
+ private:
+  int width_;
 };
 
 /// Radius-Stepping SSSP engine over one preprocessed (k, rho)-graph
@@ -127,13 +138,13 @@ class SsspEngine {
   void serve(const QueryRequest& req, QueryContext& ctx,
              QueryResponse& resp) const;
 
-  /// Serves every request `feed` hands out, with a team of `width`
+  /// Serves every request `feed` hands out, with a team of feed.width()
   /// workers. Each worker runs one strictly sequential query at a time on
   /// its own warm context and reports it to feed.done() the moment its run
   /// ends, then asks feed.next() for another; the call returns once every
-  /// worker has been handed null. A width of 1 serves on the calling
-  /// thread and lets each query use intra-query parallelism instead — the
-  /// form for a lone request, where no team-mate could help.
+  /// worker has been handed null. A feed of width 1 is served on the
+  /// calling thread, and each of its queries uses intra-query parallelism
+  /// instead — the form for a lone request, where no team-mate could help.
   ///
   /// Nothing thrown while serving a request leaves the team: the request
   /// is validated, and any exception it raises (invalid_argument,
@@ -142,15 +153,14 @@ class SsspEngine {
   /// concurrent stream leases its own warm context-pool slot (the slot set
   /// grows to the peak concurrency and stays warm). Path reconstruction
   /// shares the cached transpose.
-  void serve_stream(RequestFeed& feed, int width) const;
+  void serve_stream(RequestFeed& feed) const;
 
   /// One response per request, in input order, bit-identical to per-
   /// request serve() calls. Requests may mix sources, target sets, flags,
   /// and engines. Validates every request first (std::invalid_argument,
-  /// before anything runs), then streams them through serve_stream() with
-  /// a team of num_workers() — or as a lone request when there is one —
-  /// and rethrows the first request's failure, if any, after the rest
-  /// have been answered.
+  /// before anything runs), then streams them through serve_stream() —
+  /// as a lone request when there is one — and rethrows the first
+  /// request's failure, if any, after the rest have been answered.
   std::vector<QueryResponse> serve_batch(
       const std::vector<QueryRequest>& requests) const;
 

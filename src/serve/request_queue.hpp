@@ -12,9 +12,10 @@
 // batch (nothing to do until work arrives), a deadline-bounded
 // try_pop_until() for the batch budget (wait at most until it expires),
 // and pop_for() for the members of a serving team, which pull requests
-// one at a time until the team is over (see Team). close() wakes
-// everyone; pops drain whatever is still buffered before reporting
-// closed, so shutdown never drops an accepted request.
+// one at a time until the team is over (see Team) or the request at the
+// head does not fit the team. close() wakes everyone; pops drain whatever
+// is still buffered before reporting closed, so shutdown never drops an
+// accepted request.
 //
 // A mutex + condvar ring, not a lock-free queue, on purpose: the critical
 // section is a handful of instructions, contention is bounded by the
@@ -77,39 +78,54 @@ class BoundedQueue {
 
   /// Bookkeeping of one consumer team draining the queue together: the
   /// serving team of serve/server.hpp, whose members each pull their next
-  /// item the moment they finish the last. Guarded by the queue's lock;
-  /// touch it only through pop_for() and finish() once members run.
-  struct Team {
-    std::size_t limit = 0;    ///< Items the team may take in all.
-    std::size_t taken = 0;    ///< Items taken so far (seeds included).
-    std::size_t busy = 0;     ///< Items held by members, not yet finished.
-    std::size_t waiting = 0;  ///< Members blocked in pop_for().
-    bool over = false;        ///< Sticky: no member takes another item.
+  /// item the moment they finish the last. Guarded by the queue's lock and
+  /// touched only by pop_for() and finish(), which keep the rule for when
+  /// a team is over.
+  class Team {
+   public:
+    /// A team that may take `limit` items in all, whose members already
+    /// hold `held` of them (seeds taken before the team opened; each is
+    /// owed a finish()).
+    Team(std::size_t limit, std::size_t held)
+        : limit_(limit), taken_(held), busy_(held) {}
+
+   private:
+    friend class BoundedQueue;
+    std::size_t limit_;        // items the team may take in all
+    std::size_t taken_;        // items taken so far (seeds included)
+    std::size_t busy_;         // items held by members, not yet finished
+    std::size_t waiting_ = 0;  // members blocked in pop_for()
+    bool over_ = false;        // sticky: no member takes another item
   };
 
   /// Team pop, called by a member of `team` that holds no item. Returns
   /// true with the next item (the member now holds it, until finish()),
-  /// or false once the team is over: it has taken `limit` items, or the
-  /// queue is empty (or closed and drained) while no member holds one.
-  /// An idle member blocks while the queue is empty and a team-mate is
-  /// still busy, since an arrival or that mate's end may come next.
-  bool pop_for(Team& team, T& out) {
+  /// or false once the team is over: it has taken its limit, the item at
+  /// the head does not `fit` (a predicate on the head, called under the
+  /// lock; the item stays queued for the next consumer), or the queue is
+  /// empty (or closed and drained) while no member holds an item. An idle
+  /// member blocks while the queue is empty and a team-mate is still
+  /// busy, since an arrival or that mate's end may come next.
+  template <typename Fits>
+  bool pop_for(Team& team, T& out, Fits&& fits) {
     std::unique_lock<std::mutex> lock(mutex_);
-    ++team.waiting;
+    ++team.waiting_;
     not_empty_.wait(lock, [&] {
-      return count_ > 0 || closed_ || team.busy == 0 || team.over ||
-             team.taken >= team.limit;
+      return count_ > 0 || closed_ || team.busy_ == 0 || team.over_ ||
+             team.taken_ >= team.limit_;
     });
-    --team.waiting;
-    if (!team.over && team.taken < team.limit && pop_locked(out)) {
-      ++team.taken;
-      ++team.busy;
+    --team.waiting_;
+    if (!team.over_ && team.taken_ < team.limit_ && count_ > 0 &&
+        fits(static_cast<const T&>(ring_[head_]))) {
+      pop_locked(out);
+      ++team.taken_;
+      ++team.busy_;
       return true;
     }
-    team.over = true;
+    team.over_ = true;
     // Idle mates must leave too, and a push whose wake-up this member
     // consumed must reach a consumer outside the team.
-    const bool wake = team.waiting > 0 || count_ > 0;
+    const bool wake = team.waiting_ > 0 || count_ > 0;
     lock.unlock();
     if (wake) not_empty_.notify_all();
     return false;
@@ -120,8 +136,8 @@ class BoundedQueue {
   void finish(Team& team) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      --team.busy;
-      if (team.busy != 0 || team.waiting == 0) return;
+      --team.busy_;
+      if (team.busy_ != 0 || team.waiting_ == 0) return;
     }
     not_empty_.notify_all();
   }

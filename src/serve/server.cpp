@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/export.hpp"
-#include "parallel/primitives.hpp"
 
 namespace rs::serve {
 
@@ -92,7 +91,7 @@ SsspServer::SsspServer(std::shared_ptr<const SsspEngine> engine,
     oracle_.publish(
         std::make_shared<const LandmarkOracle>(*eng, opts_.landmarks));
   }
-  paused_ = opts_.start_paused;
+  paused_.store(opts_.start_paused, std::memory_order_relaxed);
   const int n = opts_.batchers < 1 ? 1 : opts_.batchers;
   batchers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -122,6 +121,7 @@ SubmitStatus SsspServer::submit(QueryRequest req,
 
   Pending pending;
   pending.request = std::move(req);
+  pending.epoch = eng->graph_epoch();
   pending.accepted_at = std::chrono::steady_clock::now();
   // Trace sampling: every Nth validated request gets the span treatment.
   // With the knob off this is one load and one branch — no clock, no
@@ -205,13 +205,13 @@ QueryResponse SsspServer::serve_sync(QueryRequest req) {
 
 void SsspServer::pause() {
   std::lock_guard<std::mutex> lock(pause_mutex_);
-  paused_ = true;
+  paused_.store(true, std::memory_order_release);
 }
 
 void SsspServer::resume() {
   {
     std::lock_guard<std::mutex> lock(pause_mutex_);
-    paused_ = false;
+    paused_.store(false, std::memory_order_release);
   }
   pause_cv_.notify_all();
 }
@@ -304,7 +304,8 @@ void SsspServer::swap_engine(std::shared_ptr<const SsspEngine> next) {
 bool SsspServer::wait_not_paused() {
   std::unique_lock<std::mutex> lock(pause_mutex_);
   pause_cv_.wait(lock, [&] {
-    return !paused_ || stopping_.load(std::memory_order_acquire);
+    return !paused_.load(std::memory_order_acquire) ||
+           stopping_.load(std::memory_order_acquire);
   });
   return !stopping_.load(std::memory_order_acquire);
 }
@@ -319,6 +320,9 @@ void SsspServer::batcher_loop() {
 
     Pending first;
     if (!queue_.pop(first)) break;  // closed and fully drained
+    // A pause() that landed while this batcher waited for work holds the
+    // request it just took until resume().
+    wait_not_paused();
     if (marks_enabled_) first.t_popped = std::chrono::steady_clock::now();
     seeds.clear();
     seeds.push_back(std::move(first));
@@ -453,26 +457,28 @@ void SsspServer::fail(Pending& p, std::exception_ptr err) {
 /// own run ends.
 class SsspServer::Team final : public RequestFeed {
  public:
-  Team(SsspServer& server, const LandmarkOracle* oracle,
-       std::vector<Pending>& seeds, std::size_t limit, int width)
-      : server_(server),
+  /// A team over `seeds` (one seed: a lone request) serving on a snapshot
+  /// of graph epoch `epoch`.
+  Team(SsspServer& server, std::uint64_t epoch, const LandmarkOracle* oracle,
+       std::vector<Pending>& seeds, std::size_t limit)
+      : RequestFeed(seeds.size() == 1),
+        server_(server),
+        epoch_(epoch),
         oracle_(oracle),
         seeds_(seeds),
-        slots_(static_cast<std::size_t>(width)) {
-    // Seeds count as taken and held from the start, so no member can see
-    // an idle team before they are served.
-    team_.limit = limit;
-    team_.taken = seeds.size();
-    team_.busy = seeds.size();
-  }
+        // Seeds count as taken and held from the start, so no member can
+        // see an idle team before they are served.
+        team_(limit, seeds.size()),
+        slots_(static_cast<std::size_t>(width())) {}
 
   const QueryRequest* next(int worker) noexcept override {
     Slot& s = slots_[static_cast<std::size_t>(worker)];
+    const auto fits = [this](const Pending& head) { return takes(head); };
     for (;;) {
       const std::size_t seed = next_seed_.fetch_add(1);
       if (seed < seeds_.size()) {
         s.p = std::move(seeds_[seed]);
-      } else if (server_.queue_.pop_for(team_, s.p)) {
+      } else if (server_.queue_.pop_for(team_, s.p, fits)) {
         if (server_.marks_enabled_) {
           s.p.t_popped = std::chrono::steady_clock::now();
         }
@@ -498,6 +504,13 @@ class SsspServer::Team final : public RequestFeed {
     }
     if (error == nullptr && p.role == CacheRole::kOwner) {
       try {
+        // A row older than its key would answer every later hit on that
+        // key with stale distances; takes() rules it out, and this refuses
+        // to publish one should that ever break.
+        if (resp.graph_epoch < p.key.graph_epoch) {
+          throw std::logic_error(
+              "SsspServer: cache row older than its key's epoch");
+        }
         // Publish the row FIRST, then answer the owner's original
         // targeted request from it — the owner computed, so
         // served_from_cache stays false.
@@ -526,6 +539,17 @@ class SsspServer::Team final : public RequestFeed {
     Pending p;         // the request this worker holds
     QueryRequest run;  // what the engine runs for a cache owner
   };
+
+  /// Whether the team may take `head` from the queue. A request admitted
+  /// under a newer snapshot than the team's pin, or any request once the
+  /// server is paused, ends the team and stays queued: the batcher picks
+  /// it up next, under a fresh pin (or after resume()). Submits and teams
+  /// both pin a snapshot that only moves forward, so a team never serves
+  /// a request on an epoch older than the one it was admitted under.
+  bool takes(const Pending& head) const noexcept {
+    return head.epoch <= epoch_ &&
+           !server_.paused_.load(std::memory_order_acquire);
+  }
 
   /// The request to run for the slot's Pending, or null when it was
   /// answered here without an engine run.
@@ -588,6 +612,7 @@ class SsspServer::Team final : public RequestFeed {
   }
 
   SsspServer& server_;
+  const std::uint64_t epoch_;     // graph epoch of the team's snapshot
   const LandmarkOracle* oracle_;  // null unless it matches the engine
   std::vector<Pending>& seeds_;
   std::atomic<std::size_t> next_seed_{0};
@@ -608,12 +633,10 @@ void SsspServer::serve_team(std::vector<Pending>& seeds) {
   // takes nothing from the queue; otherwise each worker serves one
   // request at a time, up to max_batch in all (which bounds how long one
   // pin is held).
-  const bool lone = seeds.size() == 1;
-  const int width = lone ? 1 : num_workers();
-  Team team(*this, use_oracle ? orc.get() : nullptr, seeds,
-            lone ? 1 : opts_.max_batch, width);
+  Team team(*this, eng->graph_epoch(), use_oracle ? orc.get() : nullptr,
+            seeds, seeds.size() == 1 ? 1 : opts_.max_batch);
   batches_.add();  // before any completion, so a drain() sees it
-  eng->serve_stream(team, width);
+  eng->serve_stream(team);
 }
 
 std::string format_stats_line(const SsspServer& server) {

@@ -33,9 +33,11 @@
 /// request's promise the moment its run ends, and pulls the next request
 /// straight from the queue. No answer waits for a slower team-mate, and a
 /// free worker never waits for a batch to form. The team ends when the
-/// queue is empty and every worker is idle, or once it has served
-/// max_batch requests (which bounds how long one snapshot pin is held);
-/// an idle worker waits by blocking on the queue, never by spinning.
+/// queue is empty and every worker is idle, once it has served
+/// max_batch requests (which bounds how long one snapshot pin is held),
+/// when the next request was admitted after a swap (see below), or on
+/// pause(); an idle worker waits by blocking on the queue, never by
+/// spinning.
 /// Under load the budget costs nothing (the second request is already
 /// queued); when idle a lone request waits out at most one budget.
 ///
@@ -50,8 +52,11 @@
 /// snapshot, so swap_engine() can publish a successor (built with
 /// SsspEngine::next_epoch) mid-traffic: in-flight work finishes on the
 /// old epoch, new work starts on the new one, and no request ever
-/// observes a torn state. The old engine is destroyed when its last pin
-/// drops.
+/// observes a torn state. A team takes from the queue only requests
+/// admitted under its own epoch or an older one: the first request
+/// admitted after a swap ends the team and opens the next one under a
+/// fresh pin, so no request runs on an epoch older than its admission's.
+/// The old engine is destroyed when its last pin drops.
 ///
 /// Lifecycle: counter-based in-flight tracking (accepted vs completed)
 /// drives drain() — block until everything admitted so far has completed
@@ -235,8 +240,10 @@ class SsspServer {
   /// on admission rejection (message names the SubmitStatus).
   QueryResponse serve_sync(QueryRequest req);
 
-  /// Parks the batchers after their current team: admitted
-  /// requests keep queueing but none are served until resume(). The
+  /// Parks the batchers: once pause() returns, no team takes another
+  /// request from the queue, and a request a waiting batcher takes is held
+  /// until resume(). Requests a team already holds finish; the rest keep
+  /// queueing, and none are served until resume(). The
   /// deterministic-test hook (fill the queue, assert coalescing) and an
   /// operational pressure valve (e.g. while swapping the engine).
   void pause();
@@ -308,6 +315,9 @@ class SsspServer {
   struct Pending {
     QueryRequest request;
     std::promise<QueryResponse> promise;
+    /// graph_epoch() of the snapshot submit() validated it against. A
+    /// team pinned to an older snapshot never takes it.
+    std::uint64_t epoch = 0;
     std::chrono::steady_clock::time_point accepted_at;
     CacheRole role = CacheRole::kDirect;
     CacheKey key;                              // kOwner/kWaiter
@@ -396,10 +406,12 @@ class SsspServer {
   // can distinguish "full" from "shutting down".
   std::atomic<bool> stopping_{false};
 
-  // Pause gate for the batchers.
+  // Pause gate for the batchers. paused_ is written under pause_mutex_
+  // (for pause_cv_) and read lock-free by team members under the queue's
+  // lock.
   std::mutex pause_mutex_;
   std::condition_variable pause_cv_;
-  bool paused_ = false;
+  std::atomic<bool> paused_{false};
 
   // In-flight tracking: accepted_ counts successful admissions,
   // completed_ counts fulfilled promises (both registry counters, see

@@ -75,7 +75,7 @@ struct Job {
 class PlannedFeed final : public RequestFeed {
  public:
   explicit PlannedFeed(std::vector<std::vector<Job>> plan)
-      : plan_(std::move(plan)), pos_(plan_.size(), 0) {}
+      : RequestFeed(false), plan_(std::move(plan)), pos_(plan_.size(), 0) {}
 
   const QueryRequest* next(int worker) noexcept override {
     const auto w = static_cast<std::size_t>(worker);
@@ -143,7 +143,7 @@ TEST(FaultIsolation, ThrowInTeamFailsOnlyItsRequestAndResetsTheContext) {
     // Warm-up: every worker's pooled context runs the exact request it
     // will run again below, so that run allocates nothing in the engine.
     PlannedFeed warm(round_plan(n, qe, false));
-    engine.serve_stream(warm, kWorkers);
+    engine.serve_stream(warm);
     for (int w = 0; w < kWorkers; ++w) {
       ASSERT_TRUE(warm.job(w, 0).ran) << "the team ran narrower than "
                                       << kWorkers << " workers";
@@ -153,7 +153,7 @@ TEST(FaultIsolation, ThrowInTeamFailsOnlyItsRequestAndResetsTheContext) {
     }
 
     PlannedFeed faulty(round_plan(n, qe, true));
-    engine.serve_stream(faulty, kWorkers);
+    engine.serve_stream(faulty);
     const Job& bad = faulty.job(0, 0);
     ASSERT_TRUE(bad.ran);
     ASSERT_NE(bad.error, nullptr);
@@ -170,7 +170,7 @@ TEST(FaultIsolation, ThrowInTeamFailsOnlyItsRequestAndResetsTheContext) {
     std::vector<std::vector<Job>> plan(1);
     plan[0].emplace_back().req = test::full_request(n / 2, qe);
     PlannedFeed after(std::move(plan));
-    engine.serve_stream(after, kWorkers);
+    engine.serve_stream(after);
     ASSERT_TRUE(after.job(0, 0).ran);
     ASSERT_EQ(after.job(0, 0).error, nullptr);
     EXPECT_EQ(after.job(0, 0).resp.dist, dijkstra(g, n / 2));

@@ -47,6 +47,7 @@
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
 #include "shortcut/shortcut.hpp"
+#include "test_util.hpp"
 
 namespace rs {
 namespace {
@@ -64,6 +65,38 @@ SsspEngine small_engine() {
   opts.rho = 12;
   opts.k = 2;
   return SsspEngine(g, opts);
+}
+
+/// Restores the worker count a test changed.
+struct WorkerGuard {
+  int before = num_workers();
+  ~WorkerGuard() { set_num_workers(before); }
+};
+
+/// A 250x250 weighted road graph served without shortcuts: large enough
+/// that a full-distance run keeps a team busy for milliseconds.
+Graph wide_road(std::uint64_t weight_seed) {
+  return assign_uniform_weights(gen::road_network(250, 250, 4), weight_seed,
+                                1, 100);
+}
+PreprocessResult no_shortcuts(const Graph& g) {
+  PreprocessResult pre;
+  pre.graph = g;
+  pre.radius = constant_radii(g.num_vertices(), 25);
+  pre.options.heuristic = ShortcutHeuristic::kNone;
+  return pre;
+}
+
+/// Waits until `server` has opened `teams` teams (each counted after its
+/// engine pin and before its first completion).
+void await_teams(const SsspServer& server, std::uint64_t teams) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.stats().batches < teams &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_GE(server.stats().batches, teams);
 }
 
 QueryRequest p2p(const SsspEngine& engine, std::uint64_t i) {
@@ -113,15 +146,14 @@ TEST(BoundedQueue, TimedPopHonorsDeadline) {
 }
 
 TEST(BoundedQueue, TeamPopServesArrivalsUntilEveryMemberIsIdle) {
+  const auto any = [](int) { return true; };
   BoundedQueue<int> q(8);
-  BoundedQueue<int>::Team team;
-  team.limit = 8;
-  team.taken = 1;  // one seed, held by the test thread (member 0)
-  team.busy = 1;
+  // One seed, held by the test thread (member 0).
+  BoundedQueue<int>::Team team(/*limit=*/8, /*held=*/1);
   std::atomic<int> served{0};
   std::thread member1([&] {  // holds nothing: waits for arrivals
     int item = 0;
-    while (q.pop_for(team, item)) {
+    while (q.pop_for(team, item, any)) {
       served.fetch_add(1);
       q.finish(team);
     }
@@ -138,18 +170,33 @@ TEST(BoundedQueue, TeamPopServesArrivalsUntilEveryMemberIsIdle) {
   // the team is over for both members.
   q.finish(team);
   int item = 0;
-  EXPECT_FALSE(q.pop_for(team, item));
+  EXPECT_FALSE(q.pop_for(team, item, any));
   member1.join();
-  EXPECT_EQ(team.taken, 4u);
+  EXPECT_EQ(served.load(), 3);
 
   // A team stops at its limit, leaving the rest queued.
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(int{i}));
-  BoundedQueue<int>::Team capped;
-  capped.limit = 2;
-  EXPECT_TRUE(q.pop_for(capped, item));
-  EXPECT_TRUE(q.pop_for(capped, item));
-  EXPECT_FALSE(q.pop_for(capped, item));
+  BoundedQueue<int>::Team capped(/*limit=*/2, /*held=*/0);
+  EXPECT_TRUE(q.pop_for(capped, item, any));
+  EXPECT_TRUE(q.pop_for(capped, item, any));
+  EXPECT_FALSE(q.pop_for(capped, item, any));
   EXPECT_EQ(q.size(), 3u);
+
+  // A head that does not fit ends the team for good and stays queued for
+  // the next consumer.
+  BoundedQueue<int>::Team picky(/*limit=*/8, /*held=*/0);
+  const auto below_four = [](int head) { return head < 4; };
+  EXPECT_TRUE(q.pop_for(picky, item, below_four));
+  EXPECT_EQ(item, 2);
+  q.finish(picky);
+  EXPECT_TRUE(q.pop_for(picky, item, below_four));
+  EXPECT_EQ(item, 3);
+  q.finish(picky);
+  EXPECT_FALSE(q.pop_for(picky, item, below_four));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.pop_for(picky, item, any));  // over is sticky
+  ASSERT_TRUE(q.pop(item));
+  EXPECT_EQ(item, 4);
 }
 
 TEST(Server, DrainWithRequestsInFlightThenShutdown) {
@@ -361,6 +408,107 @@ TEST(Server, RequestFailingInATeamFailsAlone) {
   }
   EXPECT_EQ(server.stats().completed, 1 + mates.size());
   EXPECT_EQ(server.stats().batches, 1u);
+}
+
+TEST(Server, RequestAdmittedAfterASwapNeverRunsOnTheOldEpoch) {
+  // A team is open on epoch 1: two slow full-distance seeds keep two
+  // workers busy while the third idles on the queue. A swap publishes
+  // epoch 2, then a cacheable owner and a direct path request arrive. The
+  // idle worker must not take them onto the old snapshot: both are
+  // answered on epoch 2, and the row the owner publishes answers a later
+  // cache hit with epoch 2's distances.
+  WorkerGuard guard;
+  set_num_workers(3);
+  const Graph g1 = wide_road(5);
+  const Graph g2 = wide_road(6);  // same roads, new weights
+  auto first = std::make_shared<const SsspEngine>(g1, no_shortcuts(g1));
+  auto second = std::make_shared<const SsspEngine>(
+      SsspEngine::next_epoch(*first, g2, no_shortcuts(g2)));
+
+  const Vertex n = g1.num_vertices();
+  QueryRequest owner;  // cacheable: targets, no paths
+  owner.source = n / 3;
+  owner.targets = {n - 1};
+  QueryRequest direct = owner;  // paths bypass the cache
+  direct.source = n / 4;
+  direct.want_paths = true;
+  QueryRequest hit = owner;  // a later request on the owner's row
+  hit.targets = {0, n / 2};
+  ASSERT_NE(first->serve(owner).targets[0].dist,
+            second->serve(owner).targets[0].dist);
+
+  ServerOptions opts;
+  opts.start_paused = true;
+  opts.batch_budget = std::chrono::microseconds(0);
+  opts.enable_cache = true;
+  SsspServer server(first, opts);
+  std::vector<std::future<QueryResponse>> slow(2);
+  for (std::size_t i = 0; i < slow.size(); ++i) {
+    ASSERT_EQ(server.submit(test::full_request(static_cast<Vertex>(i)),
+                            slow[i]),
+              SubmitStatus::kAccepted);
+  }
+  server.resume();
+  await_teams(server, 1);
+
+  server.swap_engine(second);
+  std::future<QueryResponse> owner_fut, direct_fut;
+  ASSERT_EQ(server.submit(owner, owner_fut), SubmitStatus::kAccepted);
+  ASSERT_EQ(server.submit(direct, direct_fut), SubmitStatus::kAccepted);
+  server.drain();
+
+  for (std::future<QueryResponse>& f : slow) {
+    EXPECT_EQ(f.get().graph_epoch, 1u);  // pinned before the swap
+  }
+  const QueryResponse o = owner_fut.get();
+  EXPECT_FALSE(o.served_from_cache);
+  EXPECT_EQ(o.graph_epoch, 2u);
+  EXPECT_EQ(o.targets[0].dist, second->serve(owner).targets[0].dist);
+  const QueryResponse d = direct_fut.get();
+  EXPECT_EQ(d.graph_epoch, 2u);
+  EXPECT_EQ(d.targets[0].dist, second->serve(direct).targets[0].dist);
+  EXPECT_EQ(d.targets[0].path, second->serve(direct).targets[0].path);
+
+  const QueryResponse h = server.serve_sync(hit);
+  EXPECT_TRUE(h.served_from_cache);
+  const QueryResponse expect = second->serve(hit);
+  ASSERT_EQ(h.targets.size(), expect.targets.size());
+  for (std::size_t i = 0; i < h.targets.size(); ++i) {
+    EXPECT_EQ(h.targets[i].dist, expect.targets[i].dist) << "target " << i;
+  }
+}
+
+TEST(Server, PauseStopsARunningTeamTakingRequests) {
+  // pause() while a team is open: the team finishes what it holds but
+  // takes nothing more from the queue until resume().
+  WorkerGuard guard;
+  set_num_workers(3);
+  const Graph g = wide_road(7);
+  const SsspEngine engine(g, no_shortcuts(g));
+  ServerOptions opts;
+  opts.start_paused = true;
+  opts.batch_budget = std::chrono::microseconds(0);
+  SsspServer server(engine, opts);
+  std::vector<std::future<QueryResponse>> slow(2);
+  for (std::size_t i = 0; i < slow.size(); ++i) {
+    ASSERT_EQ(server.submit(test::full_request(static_cast<Vertex>(i)),
+                            slow[i]),
+              SubmitStatus::kAccepted);
+  }
+  server.resume();
+  await_teams(server, 1);
+
+  server.pause();
+  std::future<QueryResponse> later;
+  ASSERT_EQ(server.submit(p2p(engine, 1), later), SubmitStatus::kAccepted);
+  for (std::future<QueryResponse>& f : slow) f.get();
+  EXPECT_EQ(later.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "a paused server's team took a request";
+  server.resume();
+  EXPECT_EQ(later.get().targets[0].dist,
+            engine.serve(p2p(engine, 1)).targets[0].dist);
+  EXPECT_EQ(server.stats().batches, 2u);
 }
 
 TEST(Server, ServeSyncThrowsOnRejection) {
@@ -757,18 +905,10 @@ TEST(Observability, TeamAnswersEachRequestWhenItsOwnRunEnds) {
   // and its own engine span is the shorter one. Both are read from the
   // traces, so the check does not race the test thread; a few attempts
   // ride out a host that descheduled the fast worker.
-  struct WorkerGuard {
-    int before = num_workers();
-    ~WorkerGuard() { set_num_workers(before); }
-  } guard;
+  WorkerGuard guard;
   set_num_workers(2);
-  const Graph g =
-      assign_uniform_weights(gen::road_network(250, 250, 4), 3, 1, 100);
-  PreprocessResult pre;
-  pre.graph = g;
-  pre.radius = constant_radii(g.num_vertices(), 25);
-  pre.options.heuristic = ShortcutHeuristic::kNone;
-  const SsspEngine engine(g, std::move(pre));
+  const Graph g = wide_road(3);
+  const SsspEngine engine(g, no_shortcuts(g));
 
   QueryRequest full;
   full.source = 0;
